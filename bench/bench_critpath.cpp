@@ -16,13 +16,9 @@
 
 #include "bench_json.hpp"
 #include "common/json.hpp"
-#include "perf/critpath.hpp"
-
-#ifndef OBS_DISABLED
-#include "obs/runtime.hpp"
-#endif
-
 #include "obs/report.hpp"
+#include "obs/runtime.hpp"
+#include "perf/critpath.hpp"
 
 using namespace yoso;
 
@@ -70,9 +66,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-#ifndef OBS_DISABLED
   obs::set_enabled(true);
-#endif
 
   std::printf("=== E16: critical path + parallel-speedup forecast (audit regime) ===\n");
   std::vector<perf::CritpathPoint> points;
@@ -100,8 +94,5 @@ int main(int argc, char** argv) {
   bench::merge_bench_json("BENCH_comm.json", "meta", obs::run_metadata_json());
   std::printf("wrote critpath key (%zu points, %zu bytes) to BENCH_comm.json\n", points.size(),
               sweep.size());
-#ifdef OBS_DISABLED
-  std::printf("note: OBS_DISABLED build — the DAG is compiled out, payload is empty\n");
-#endif
   return 0;
 }

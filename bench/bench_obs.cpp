@@ -4,9 +4,7 @@
 // Runs the identical full protocol (YosoMpc over NetBulletin, no faults)
 // twice per repetition in the same binary: once with obs::set_enabled(false)
 // (every span/counter call is one untaken branch) and once with recording
-// on.  The wall-clock delta lands in BENCH_comm.json under "obs_overhead";
-// the acceptance bar for the compile-time OBS_DISABLED configuration is
-// checked separately by building with -DYOSO_OBS_DISABLED=ON.
+// on.  The wall-clock delta lands in BENCH_comm.json under "obs_overhead".
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -62,7 +60,6 @@ int main(int argc, char** argv) {
 
   double off_ms = 0, on_ms = 0;
   std::size_t spans = 0;
-#ifndef OBS_DISABLED
   for (std::size_t r = 0; r < reps; ++r) {
     obs::set_enabled(false);
     off_ms += run_once_ms(schedule, inputs);
@@ -73,12 +70,6 @@ int main(int argc, char** argv) {
     spans = obs::tracer().spans().size();
   }
   obs::set_enabled(true);
-#else
-  for (std::size_t r = 0; r < reps; ++r) {
-    off_ms += run_once_ms(schedule, inputs);
-    on_ms += run_once_ms(schedule, inputs);
-  }
-#endif
   off_ms /= static_cast<double>(reps);
   on_ms /= static_cast<double>(reps);
   const double overhead_pct = off_ms > 0 ? (on_ms - off_ms) / off_ms * 100.0 : 0.0;
@@ -94,11 +85,6 @@ int main(int argc, char** argv) {
   w.field("disabled_ms", off_ms).field("enabled_ms", on_ms);
   w.field("overhead_pct", overhead_pct);
   w.field("spans", static_cast<std::uint64_t>(spans));
-#ifdef OBS_DISABLED
-  w.field("compiled_out", true);
-#else
-  w.field("compiled_out", false);
-#endif
   w.end_object();
   bench::merge_bench_json("BENCH_comm.json", "obs_overhead", w.take());
   return 0;

@@ -15,11 +15,8 @@
 
 #include "bench_json.hpp"
 #include "common/json.hpp"
-#include "perf/opcosts.hpp"
-
-#ifndef OBS_DISABLED
 #include "obs/runtime.hpp"
-#endif
+#include "perf/opcosts.hpp"
 
 using namespace yoso;
 
@@ -49,11 +46,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-#ifndef OBS_DISABLED
   // Counts record regardless of the mute switch, but enable recording so a
   // bench run doubles as a smoke test of the enabled path.
   obs::set_enabled(true);
-#endif
 
   std::printf("=== E15: per-primitive op counts (audit regime) ===\n");
   std::vector<perf::ProfilePoint> points;
@@ -68,8 +63,5 @@ int main(int argc, char** argv) {
   bench::merge_bench_json("BENCH_comm.json", "profile", sweep);
   std::printf("wrote profile key (%zu points, %zu bytes) to BENCH_comm.json\n", points.size(),
               sweep.size());
-#ifdef OBS_DISABLED
-  std::printf("note: OBS_DISABLED build — counts compiled out, payload is empty\n");
-#endif
   return 0;
 }

@@ -32,19 +32,13 @@ NetBulletin::NetBulletin(Ledger& ledger, NetConfig cfg)
     : Bulletin(ledger), cfg_(std::move(cfg)),
       transport_(loop_, cfg_.link, cfg_.topology, cfg_.observers, cfg_.faults,
                  cfg_.link_mix) {
-#ifndef OBS_DISABLED
   // Spans begun while this board is alive get deterministic virtual
   // timestamps.  Keyed by `this` so destroying an old board (degradation
   // retries, chaos campaigns) cannot clobber a newer board's clock.
   obs::tracer().attach_virtual_clock(this, [this] { return clock_; });
-#endif
 }
 
-NetBulletin::~NetBulletin() {
-#ifndef OBS_DISABLED
-  obs::tracer().detach_virtual_clock(this);
-#endif
-}
+NetBulletin::~NetBulletin() { obs::tracer().detach_virtual_clock(this); }
 
 bool NetBulletin::roundtrip_ok(const std::vector<std::uint8_t>& payload) {
   try {
@@ -112,15 +106,6 @@ PostStatus NetBulletin::publish(Committee& committee, unsigned index0, Phase pha
                   /*external=*/false);
   Bulletin::publish(committee, index0, phase, label, bytes, elements, first_post_of_role,
                     payload);
-  // A committee that begins publishing has just activated; in the YOSO
-  // handover order it consumed everything already on the board, so pending
-  // flow edges resolve to it on its first post.  (Resolution cannot happen
-  // at spawn time: YosoMpc spawns the whole committee schedule up front,
-  // before any of them act.)
-  if (committee.name != flow_actor_) {
-    flow_.resolve(committee.name);
-    flow_actor_ = committee.name;
-  }
   if (payload != nullptr) bytes = payload->size();  // price the real serialized message
   const std::string sender = committee.name + "#" + std::to_string(index0);
   const std::string key = "c:" + committee.name;
@@ -135,7 +120,7 @@ PostStatus NetBulletin::publish(Committee& committee, unsigned index0, Phase pha
     OBS_COUNT("post.dropped_link");
     obs::Span("post.dropped_link", "net").attr("sender", sender).attr("phase", phase_name(phase));
     enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/true, 0);
-    dag_.end_post(label, bytes, /*delivered=*/false);
+    dag_.end_post(label, bytes, elements, /*delivered=*/false);
     return PostStatus::DroppedLink;
   }
 
@@ -155,7 +140,7 @@ PostStatus NetBulletin::publish(Committee& committee, unsigned index0, Phase pha
       OBS_COUNT("post.corrupt");
       obs::Span("post.corrupt", "net").attr("sender", sender).attr("phase", phase_name(phase));
       enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/false, 0);
-      dag_.end_post(label, bytes, /*delivered=*/false);
+      dag_.end_post(label, bytes, elements, /*delivered=*/false);
       return PostStatus::CorruptPayload;
     }
     case WireFault::Truncate: {
@@ -170,15 +155,13 @@ PostStatus NetBulletin::publish(Committee& committee, unsigned index0, Phase pha
       obs::Span("post.truncated", "net").attr("sender", sender).attr("phase", phase_name(phase));
       // Only the truncated prefix ever hit the wire.
       enqueue(key, phase, sender, cut, nullptr, /*link_dropped=*/false, 0);
-      dag_.end_post(label, bytes, /*delivered=*/false);
+      dag_.end_post(label, bytes, elements, /*delivered=*/false);
       return PostStatus::Truncated;
     }
     case WireFault::Duplicate: {
       // The original counts; the replayed copy is priced on the wire but the
       // board's one-shot discipline ignores it.
       ++pp.delivered;
-      flow_.record(committee.name, label, static_cast<std::uint8_t>(phase_idx(phase)), bytes,
-                   elements);
       enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/false, 0);
       ++pp.originated;
       ++pp.duplicate;
@@ -189,7 +172,7 @@ PostStatus NetBulletin::publish(Committee& committee, unsigned index0, Phase pha
       enqueue(key, phase, sender, bytes, nullptr, dup_dropped, 0);
       // One DAG post for the original only: the injected copy never becomes
       // a board post, so it must never grow consume edges.
-      dag_.end_post(label, bytes, /*delivered=*/true);
+      dag_.end_post(label, bytes, elements, /*delivered=*/true);
       return PostStatus::Accepted;
     }
     case WireFault::LatePost: {
@@ -199,27 +182,23 @@ PostStatus NetBulletin::publish(Committee& committee, unsigned index0, Phase pha
         ++pp.late_graced;
         OBS_COUNT("post.accepted");
         OBS_COUNT("post.late_graced");
-        flow_.record(committee.name, label, static_cast<std::uint8_t>(phase_idx(phase)), bytes,
-                     elements);
         enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/false, delay);
-        dag_.end_post(label, bytes, /*delivered=*/true);
+        dag_.end_post(label, bytes, elements, /*delivered=*/true);
         return PostStatus::Accepted;
       }
       ++pp.late;
       OBS_COUNT("post.late");
       obs::Span("post.late", "net").attr("sender", sender).attr("phase", phase_name(phase));
       enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/false, delay);
-      dag_.end_post(label, bytes, /*delivered=*/false);
+      dag_.end_post(label, bytes, elements, /*delivered=*/false);
       return PostStatus::Late;
     }
     case WireFault::None: break;
   }
   ++pp.delivered;
   OBS_COUNT("post.accepted");
-  flow_.record(committee.name, label, static_cast<std::uint8_t>(phase_idx(phase)), bytes,
-               elements);
   enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/false, 0);
-  dag_.end_post(label, bytes, /*delivered=*/true);
+  dag_.end_post(label, bytes, elements, /*delivered=*/true);
   return PostStatus::Accepted;
 }
 
@@ -234,9 +213,8 @@ void NetBulletin::publish_external(const std::string& who, Phase phase, const st
   PhasePosts& pp = posts(phase);
   ++pp.originated;
   ++pp.delivered;
-  flow_.record(who, label, static_cast<std::uint8_t>(phase_idx(phase)), bytes, elements);
   enqueue("x:" + label, phase, who, bytes, payload, /*link_dropped=*/false, 0);
-  dag_.end_post(label, bytes, /*delivered=*/true);
+  dag_.end_post(label, bytes, elements, /*delivered=*/true);
 }
 
 void NetBulletin::on_committee_spawn(Committee& committee) {
@@ -285,7 +263,6 @@ void NetBulletin::flush() {
   clock_ = round_end;
   pending_.clear();
   pending_key_.clear();
-#ifndef OBS_DISABLED
   // Sample the round's shape on the virtual clock: what was in flight, how
   // deep the board queue ran, and the bandwidth the round achieved.  These
   // render as Perfetto counter tracks under the span timeline.
@@ -311,10 +288,6 @@ void NetBulletin::flush() {
     bw_by_phase[pidx]->sample(round_end,
                               static_cast<double>(round_bytes) / (round_end - round_start));
   }
-#else
-  (void)round_start;
-  (void)round_posts;
-#endif
 }
 
 double NetBulletin::elapsed() {
@@ -336,11 +309,7 @@ const PhasePosts& NetBulletin::phase_posts(Phase phase) const {
   return posts_[phase_idx(phase)];
 }
 
-const obs::FlowMatrix& NetBulletin::flow() {
-  flush();
-  flow_.finalize("observers");
-  return flow_;
-}
+obs::FlowMatrix NetBulletin::flow() { return obs::FlowMatrix(dag().nodes()); }
 
 const obs::dag::DagRecorder& NetBulletin::dag() {
   flush();
@@ -420,22 +389,16 @@ std::string NetBulletin::report_json() const {
     }
     w.end_object();
   }
+  // dag() finalizes the trailing residue; the flow matrix is a view of it.
+  const obs::dag::DagRecorder& dag = const_cast<NetBulletin*>(this)->dag();
   w.key("flow").begin_object();
-  {
-    // flow() flushes and finalizes pending edges to "observers".
-    const obs::FlowMatrix& fm = const_cast<NetBulletin*>(this)->flow();
-    json::Writer edges;
-    fm.write_json(edges);
-    w.key("edges").raw(edges.take());
-#ifndef OBS_DISABLED
-    w.key("series").raw(obs::timeseries().report_json());
-#else
-    w.key("series").raw("{}");
-#endif
-  }
+  json::Writer edges;
+  obs::FlowMatrix(dag.nodes()).write_json(edges);
+  w.key("edges").raw(edges.take());
+  w.key("series").raw(obs::timeseries().report_json());
   w.end_object();
   // Happens-before DAG summary (counts only — deterministic).
-  w.key("dag").raw(const_cast<NetBulletin*>(this)->dag().report_json());
+  w.key("dag").raw(dag.report_json());
   w.key("base").raw(Bulletin::report_json());
   w.end_object();
   return w.take();

@@ -128,9 +128,9 @@ public:
   PhasePosts total_posts() const;
   // Per-edge traffic matrix over delivered posts: sender committee ->
   // consuming committee (the next one to begin publishing), keyed by ledger
-  // category.  Edges still pending a consumer — the final committee's
-  // output posts — resolve to "observers" on first access.
-  const obs::FlowMatrix& flow();
+  // category.  A view of dag(); posts without a consumer — the final
+  // committee's output posts — resolve to "observers".
+  obs::FlowMatrix flow();
   // Mutated payloads probed through the codec: rejected cleanly vs. decoded
   // anyway (a flip inside a bignum body is syntactically valid; the frame
   // checksum still rejects the post).
@@ -175,9 +175,7 @@ private:
   Phase pending_phase_ = Phase::Setup;
   std::array<PhaseTraffic, 3> traffic_{};
   std::array<PhasePosts, 3> posts_{};
-  obs::FlowMatrix flow_;
   obs::dag::DagRecorder dag_;
-  std::string flow_actor_;  // committee currently publishing (flow consumer tracking)
   std::size_t decode_failures_ = 0;
   std::size_t fuzz_rejected_ = 0;
   std::size_t fuzz_decoded_ = 0;

@@ -1,7 +1,5 @@
 #include "obs/dag/critpath.hpp"
 
-#ifndef OBS_DISABLED
-
 #include <algorithm>
 #include <queue>
 
@@ -369,5 +367,3 @@ std::string critpath_perfetto_json(const std::vector<DagNode>& nodes, const Cost
 }
 
 }  // namespace yoso::obs::dag
-
-#endif  // OBS_DISABLED

@@ -35,8 +35,6 @@
 
 namespace yoso::obs::dag {
 
-#ifndef OBS_DISABLED
-
 struct CostCoeffs {
   double us_per_op[kOpCount] = {};
   bool reference = true;  // fixed table vs live-measured
@@ -114,30 +112,5 @@ std::string critpath_perfetto_json(const std::vector<DagNode>& nodes, const Cost
 
 // Display name for a DAG node ("c:off.beaver#3", "post:beaver.a", ...).
 std::string node_display_name(const DagNode& node);
-
-#else  // OBS_DISABLED
-
-struct CostCoeffs {
-  static const CostCoeffs& reference_table() {
-    static const CostCoeffs c;
-    return c;
-  }
-};
-
-struct PhaseCrit {
-  double work = 0;
-  double span = 0;
-  double parallelism() const { return 1.0; }
-};
-
-struct CritReport {
-  PhaseCrit total;
-};
-
-inline CritReport analyze(const std::vector<DagNode>&, const CostCoeffs&) { return {}; }
-
-inline std::string crit_report_json(const CritReport&) { return "{}"; }
-
-#endif
 
 }  // namespace yoso::obs::dag

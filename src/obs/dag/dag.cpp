@@ -1,7 +1,5 @@
 #include "obs/dag/dag.hpp"
 
-#ifndef OBS_DISABLED
-
 #include <algorithm>
 
 #include "common/json.hpp"
@@ -136,7 +134,8 @@ void DagRecorder::begin_post(const std::string& actor, unsigned role, std::uint8
   open_.open = true;
 }
 
-void DagRecorder::end_post(const std::string& label, std::uint64_t bytes, bool delivered) {
+void DagRecorder::end_post(const std::string& label, std::uint64_t bytes, std::uint64_t elements,
+                           bool delivered) {
   const CountMatrix delta = take_delta();
   std::vector<std::uint32_t> preds;
   std::uint8_t phase = 0;
@@ -151,6 +150,7 @@ void DagRecorder::end_post(const std::string& label, std::uint64_t bytes, bool d
   DagNode& node = nodes_[id];
   node.label = label;
   node.bytes = bytes;
+  node.elements = elements;
   node.delivered = delivered;
   node.counts = delta;
   // A post the board never accepted has no consumers: dropped, corrupt,
@@ -269,5 +269,3 @@ std::string DagRecorder::report_json() const {
 }
 
 }  // namespace yoso::obs::dag
-
-#endif  // OBS_DISABLED

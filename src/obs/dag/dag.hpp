@@ -11,14 +11,17 @@
 //            decode-check round-trip), external senders (clients, dealer),
 //            and one trailing Residue node for compute after the last post
 //            (output reconstruction, verification sweeps);
-//   edges  = publish -> consume, resolved exactly the way the FlowMatrix
-//            resolves committee traffic: posts delivered while committee A
+//   edges  = publish -> consume: posts delivered while committee A
 //            publishes are consumed by the next committee B to begin
 //            publishing — every role of B gets an in-edge from each of A's
 //            delivered posts.  Dropped/corrupt/truncated/late posts get NO
 //            out-edges: nothing downstream may depend on a post the board
 //            never accepted (tests/dag_test.cpp holds this under seeded
 //            wire-fault schedules).
+//
+// This is the one place the handover rule lives: the committee traffic
+// matrix (obs/flow.hpp) is a view that groups these Post nodes by producer,
+// first consumer, category and phase.
 //
 // Node weights come from the compute observatory (PR 9): each node carries
 // the per-(phase, op) count delta the profiler accumulated while that
@@ -35,8 +38,6 @@
 // replay produces a byte-identical DAG whether obs timing is enabled or
 // muted.  Pricing the nodes (critpath.hpp) uses a fixed reference
 // coefficient table for the same reason.
-//
-// OBS_DISABLED compiles the recorder down to no-op stubs.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +48,6 @@
 #include "obs/profile.hpp"
 
 namespace yoso::obs::dag {
-
-#ifndef OBS_DISABLED
 
 // Flat copy of a cell's per-(phase, op) counters; the unit of node weight.
 struct CountMatrix {
@@ -77,7 +76,8 @@ struct DagNode {
   unsigned role = 0;   // role index within the committee (Role nodes)
   std::string label;   // ledger category (Post nodes)
   std::uint64_t bytes = 0;
-  bool delivered = true;  // Post nodes: accepted onto the board
+  std::uint64_t elements = 0;  // Post nodes: ledger element count
+  bool delivered = true;       // Post nodes: accepted onto the board
   CountMatrix counts;
   // In-edges; always predecessors by id (construction order is a
   // topological order), sorted ascending.
@@ -95,7 +95,8 @@ public:
   DagRecorder();
 
   void begin_post(const std::string& actor, unsigned role, std::uint8_t phase, bool external);
-  void end_post(const std::string& label, std::uint64_t bytes, bool delivered);
+  void end_post(const std::string& label, std::uint64_t bytes, std::uint64_t elements,
+                bool delivered);
   // Captures compute since the last post into the Residue node.  Idempotent
   // in the sense that repeated calls only add whatever ran in between.
   void finalize();
@@ -147,29 +148,5 @@ private:
   std::uint32_t residue_ = 0;  // Residue node id once created (0 = none yet)
   bool has_residue_ = false;
 };
-
-#else  // OBS_DISABLED
-
-struct CountMatrix {};
-
-enum class NodeKind : std::uint8_t { Role, Post, External, Residue };
-
-struct DagNode {};
-
-class DagRecorder {
-public:
-  void begin_post(const std::string&, unsigned, std::uint8_t, bool) {}
-  void end_post(const std::string&, std::uint64_t, bool) {}
-  void finalize() {}
-  const std::vector<DagNode>& nodes() const { return nodes_; }
-  std::size_t edge_count() const { return 0; }
-  bool validate(std::string* = nullptr) const { return true; }
-  std::string report_json() const { return "{}"; }
-
-private:
-  std::vector<DagNode> nodes_;
-};
-
-#endif
 
 }  // namespace yoso::obs::dag

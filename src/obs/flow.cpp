@@ -4,46 +4,30 @@
 
 namespace yoso::obs {
 
-#ifndef OBS_DISABLED
-
-void FlowMatrix::record(std::string src, std::string category, std::uint8_t phase,
-                        std::uint64_t bytes, std::uint64_t elements) {
-  pending_.push_back(Pending{std::move(src), std::move(category), phase, bytes, elements});
-}
-
-void FlowMatrix::resolve(const std::string& dst) {
-  for (Pending& p : pending_) {
-    FlowCell& cell = edges_[FlowKey{std::move(p.src), dst, std::move(p.category), p.phase}];
+FlowMatrix::FlowMatrix(const std::vector<dag::DagNode>& nodes) {
+  static const std::string kObservers = "observers";
+  // Ids are a topological order, so the first Role/Residue node to list a
+  // post as an input is its consumer.
+  std::vector<const std::string*> consumer(nodes.size(), nullptr);
+  for (const dag::DagNode& node : nodes) {
+    if (node.kind != dag::NodeKind::Role && node.kind != dag::NodeKind::Residue) continue;
+    for (const std::uint32_t p : node.preds) {
+      if (consumer[p] == nullptr) consumer[p] = &node.actor;
+    }
+  }
+  for (const dag::DagNode& post : nodes) {
+    if (post.kind != dag::NodeKind::Post || !post.delivered) continue;
+    const std::string& dst = consumer[post.id] != nullptr ? *consumer[post.id] : kObservers;
+    FlowCell& cell = edges_[FlowKey{post.actor, dst, post.label, post.phase}];
     cell.messages += 1;
-    cell.bytes += p.bytes;
-    cell.elements += p.elements;
+    cell.bytes += post.bytes;
+    cell.elements += post.elements;
   }
-  pending_.clear();
-}
-
-void FlowMatrix::finalize(const std::string& fallback) { resolve(fallback); }
-
-void FlowMatrix::reset() {
-  pending_.clear();
-  edges_.clear();
-}
-
-#endif  // OBS_DISABLED
-
-FlowCell FlowMatrix::phase_total(std::uint8_t phase) const {
-  FlowCell total;
-  for (const auto& [key, cell] : edges()) {
-    if (key.phase != phase) continue;
-    total.messages += cell.messages;
-    total.bytes += cell.bytes;
-    total.elements += cell.elements;
-  }
-  return total;
 }
 
 void FlowMatrix::write_json(json::Writer& w) const {
   w.begin_array();
-  for (const auto& [key, cell] : edges()) {
+  for (const auto& [key, cell] : edges_) {
     w.begin_object();
     w.field("src", key.src);
     w.field("dst", key.dst);

@@ -1,31 +1,36 @@
 // Per-edge traffic matrix: who sent how much to whom, under which ledger
-// category, in which phase.
+// category, in which phase — a pure view of the happens-before DAG
+// (obs/dag/dag.hpp).
 //
 // The bulletin board realizes every message as a broadcast, so the
-// "receiver" of a post is the committee that *consumes* it — which, in the
-// YOSO activation order, is the next committee to act after the post is on
-// the board.  FlowMatrix therefore records posts with a pending receiver;
-// NetBulletin resolves all pending posts to a committee when it begins
-// publishing (its first post marks its activation — spawn time is useless
-// as a signal, the whole schedule is spawned up front), and anything still
-// pending at report time (the final committee's output posts) resolves to
-// the `observers` fallback.
+// "receiver" of a post is the committee that *consumes* it.  DagRecorder is
+// where that handover rule lives: a committee that begins publishing
+// consumes every post delivered before it, and posts nobody consumes stay
+// leaves.  The matrix groups the DAG's delivered Post nodes by
+//   src      the producer's actor (committee or external sender),
+//   dst      the actor of the post's first Role or Residue consumer, or
+//            "observers" when it has none,
+//   category the post's ledger label,
+//   phase    the post's phase.
+// External nodes never count as consumers: a client that reads a post
+// first does not take it from the next committee to act.  The Residue
+// node's actor is "observers" as well, so the final committee's output
+// posts resolve there either way.
 //
-// Only posts *accepted onto the board* are recorded, so the matrix obeys a
+// Only posts *accepted onto the board* appear, so the matrix obeys a
 // conservation law against the PhasePosts accounting from the chaos layer:
 // for every phase, the sum of edge messages equals PhasePosts::delivered
-// (tests/flow_test.cpp asserts this under fault injection).
-//
-// Like the rest of src/obs the matrix is compiled out by OBS_DISABLED:
-// record()/resolve() become empty inline functions and the report emits an
-// empty edge list.  It is deliberately *not* muted by obs::set_enabled —
-// it is board-scoped accounting (like the ledger), not sampling.
+// (tests/flow_test.cpp asserts this under wire faults and fail-stop roles).
+// Like the DAG it is board-scoped accounting, not sampling, so
+// obs::set_enabled does not mute it.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "obs/dag/dag.hpp"
 
 namespace yoso::json {
 class Writer;
@@ -55,52 +60,18 @@ struct FlowCell {
 
 class FlowMatrix {
 public:
-#ifndef OBS_DISABLED
-  // Records one delivered post whose consumer is not yet known.
-  void record(std::string src, std::string category, std::uint8_t phase, std::uint64_t bytes,
-              std::uint64_t elements);
-  // Assigns every pending post to `dst` (the committee that just started
-  // acting consumes everything already on the board).
-  void resolve(const std::string& dst);
-  // Resolves any leftover pending posts to `fallback`; idempotent.
-  void finalize(const std::string& fallback);
-  void reset();
+  // Groups the delivered Post nodes of `nodes` (a DagRecorder's node list:
+  // ids are indices and a topological order) into edges.
+  explicit FlowMatrix(const std::vector<dag::DagNode>& nodes);
 
   const std::map<FlowKey, FlowCell>& edges() const { return edges_; }
-  std::size_t pending() const { return pending_.size(); }
-#else
-  void record(const std::string&, const std::string&, std::uint8_t, std::uint64_t,
-              std::uint64_t) {}
-  void resolve(const std::string&) {}
-  void finalize(const std::string&) {}
-  void reset() {}
-
-  const std::map<FlowKey, FlowCell>& edges() const {
-    static const std::map<FlowKey, FlowCell> kEmpty;
-    return kEmpty;
-  }
-  std::size_t pending() const { return 0; }
-#endif
-
-  // Sum over all edges of one phase.
-  FlowCell phase_total(std::uint8_t phase) const;
 
   // Writes the matrix as a JSON array value (one object per edge, sorted by
   // key, so identical runs serialize byte-identically).
   void write_json(json::Writer& w) const;
 
-#ifndef OBS_DISABLED
 private:
-  struct Pending {
-    std::string src;
-    std::string category;
-    std::uint8_t phase;
-    std::uint64_t bytes;
-    std::uint64_t elements;
-  };
-  std::vector<Pending> pending_;
   std::map<FlowKey, FlowCell> edges_;
-#endif
 };
 
 }  // namespace yoso::obs

@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#ifndef OBS_DISABLED
-
 #include <bit>
 
 #include "common/json.hpp"
@@ -95,5 +93,3 @@ Metrics& metrics() {
 }
 
 }  // namespace yoso::obs
-
-#endif  // OBS_DISABLED

@@ -10,8 +10,7 @@
 // Histograms are log2-bucketed: bucket 0 holds the value 0, bucket b >= 1
 // holds values in [2^(b-1), 2^b).  64-bit values therefore need 65 buckets.
 //
-// Like the tracer, the registry is muted by obs::set_enabled(false) and
-// compiled out entirely by OBS_DISABLED.
+// Like the tracer, the registry is muted by obs::set_enabled(false).
 #pragma once
 
 #include <cstdint>
@@ -23,8 +22,6 @@
 #include "obs/runtime.hpp"
 
 namespace yoso::obs {
-
-#ifndef OBS_DISABLED
 
 class Counter {
 public:
@@ -126,25 +123,5 @@ Metrics& metrics();
         ::yoso::obs::metrics().gauge(name);                  \
     obs_g_.set(static_cast<std::int64_t>(value));            \
   } while (0)
-
-#else  // OBS_DISABLED
-
-#define OBS_COUNT(name) \
-  do {                  \
-  } while (0)
-#define OBS_COUNT_N(name, delta)   \
-  do {                             \
-    (void)sizeof((delta));         \
-  } while (0)
-#define OBS_HIST(name, value)      \
-  do {                             \
-    (void)sizeof((value));         \
-  } while (0)
-#define OBS_GAUGE_SET(name, value) \
-  do {                             \
-    (void)sizeof((value));         \
-  } while (0)
-
-#endif
 
 }  // namespace yoso::obs

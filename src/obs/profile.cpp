@@ -1,7 +1,5 @@
 #include "obs/profile.hpp"
 
-#ifndef OBS_DISABLED
-
 #include <algorithm>
 #include <chrono>
 #include <string_view>
@@ -272,5 +270,3 @@ OpTimer::~OpTimer() {
 }
 
 }  // namespace yoso::obs
-
-#endif  // OBS_DISABLED

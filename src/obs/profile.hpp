@@ -26,8 +26,7 @@
 // join order yields a byte-identical snapshot (the merge-on-join half of
 // ROADMAP item 3; the thread pool itself is future work).
 //
-// OBS_DISABLED compiles the whole subsystem out; docs/PROFILING.md is the
-// user guide.
+// docs/PROFILING.md is the user guide.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +37,6 @@
 #include "obs/runtime.hpp"
 
 namespace yoso::obs {
-
-#ifndef OBS_DISABLED
 
 // Closed set of profiled primitives.  Adding one: extend the enum, add its
 // dotted name to op_name(), mark it timed or count-only at the call site
@@ -275,43 +272,5 @@ private:
     ::yoso::obs::profiler().cell().count(::yoso::obs::Op::op,     \
                                          static_cast<std::uint64_t>(delta)); \
   } while (0)
-
-#else  // OBS_DISABLED: the profiler compiles away entirely.
-
-enum class PhaseCtx : unsigned { Setup = 0, Offline, Online, Cdn, Other, kCount };
-
-class InstrumentCell {
-public:
-  void merge(const InstrumentCell&) {}
-  void reset() {}
-  std::string snapshot_json(bool = false) const { return "{}"; }
-};
-
-class ScopedCell {
-public:
-  explicit ScopedCell(InstrumentCell*) {}
-};
-
-class ScopedOpContext {
-public:
-  explicit ScopedOpContext(PhaseCtx) {}
-};
-
-#define OBS_OP(op) \
-  do {             \
-  } while (0)
-#define OBS_OP_N(op, delta)  \
-  do {                       \
-    (void)sizeof((delta));   \
-  } while (0)
-#define OBS_OP_COUNT(op) \
-  do {                   \
-  } while (0)
-#define OBS_OP_COUNT_N(op, delta) \
-  do {                            \
-    (void)sizeof((delta));        \
-  } while (0)
-
-#endif
 
 }  // namespace yoso::obs

@@ -17,11 +17,6 @@ std::string run_metadata_json() {
 #else
   w.field("build", "debug");
 #endif
-#ifdef OBS_DISABLED
-  w.field("obs_disabled", true);
-#else
-  w.field("obs_disabled", false);
-#endif
   w.end_object();
   return w.take();
 }
@@ -31,16 +26,11 @@ std::string run_report_json(const Bulletin& board, const FailureReport* failure)
   w.begin_object();
   w.key("meta").raw(run_metadata_json());
   w.key("board").raw(board.report_json());
-#ifndef OBS_DISABLED
   w.key("metrics").raw(metrics().report_json());
   // Per-primitive op counts with per-phase attribution (src/obs/profile.hpp).
   // Counts only — deterministic, so run reports stay byte-identical across
   // replays; measured self-times live in the op_costs bench key instead.
   w.key("op_costs").raw(profiler().op_costs_json(false));
-#else
-  w.key("metrics").begin_object().end_object();
-  w.key("op_costs").begin_object().end_object();
-#endif
   if (failure != nullptr) w.key("failure").raw(failure->to_json());
   w.end_object();
   return w.take();

@@ -28,13 +28,12 @@ namespace yoso::obs {
 //   2 — PR 10 causality observatory (run metadata, codec ops, dag/critpath)
 inline constexpr int kObsGeneration = 2;
 
-// {"obs_generation":2,"build":"release|debug","obs_disabled":false}
+// {"obs_generation":2,"build":"release|debug"}
 // The self-describing header stamped into every report/trace document so
 // cross-run comparisons know what produced them.
 std::string run_metadata_json();
 
-// {"meta":{...},"board":{...},"metrics":{...}[,"failure":{...}]}
-// Under OBS_DISABLED the metrics section is an empty object.
+// {"meta":{...},"board":{...},"metrics":{...},"op_costs":{...}[,"failure":{...}]}
 std::string run_report_json(const Bulletin& board, const FailureReport* failure = nullptr);
 
 // Validates a Chrome trace-event JSON document:

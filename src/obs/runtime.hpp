@@ -1,17 +1,11 @@
 // Runtime on/off switch shared by the span tracer and the metrics registry.
 //
-// Two layers of gating:
-//   * compile time: building with -DOBS_DISABLED stubs the whole subsystem
-//     out — instrumented call sites compile to nothing (the acceptance bar:
-//     bench_god with OBS_DISABLED within 2% of the uninstrumented baseline);
-//   * run time: set_enabled(false) mutes recording behind one predictable
-//     branch per event, which is what bench_obs uses to price the enabled
-//     instrumentation inside a single binary (the `obs_overhead` key).
+// set_enabled(false) mutes recording behind one predictable branch per
+// event, which is what bench_obs uses to price the enabled instrumentation
+// inside a single binary (the `obs_overhead` key).
 #pragma once
 
 namespace yoso::obs {
-
-#ifndef OBS_DISABLED
 
 inline bool& enabled_flag() {
   static bool on = true;  // constant-initialized: no guard on the hot path
@@ -19,12 +13,5 @@ inline bool& enabled_flag() {
 }
 inline bool enabled() { return enabled_flag(); }
 inline void set_enabled(bool on) { enabled_flag() = on; }
-
-#else
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-
-#endif
 
 }  // namespace yoso::obs

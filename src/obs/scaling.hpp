@@ -14,8 +14,7 @@
 // element coefficient e0 and the measured CDN per-member slope, projected
 // to the committee sizes the sortition analysis (Section 6) prescribes.
 //
-// This header is pure analysis — no protocol state, no recording — so it
-// is NOT gated by OBS_DISABLED: tools/perf must audit no-obs builds too.
+// This header is pure analysis — no protocol state, no recording.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,5 @@
 #include "obs/timeseries.hpp"
 
-#ifndef OBS_DISABLED
-
 #include "common/json.hpp"
 
 namespace yoso::obs {
@@ -42,5 +40,3 @@ TimeSeriesRegistry& timeseries() {
 }
 
 }  // namespace yoso::obs
-
-#endif  // OBS_DISABLED

@@ -11,12 +11,8 @@
 //
 // The tracer's Chrome-trace export emits every series as a Perfetto
 // counter track ("C" events), so the byte flow renders as a graph under
-// the span timeline.  Sampling is muted by obs::set_enabled(false) and the
-// whole registry is compiled out by OBS_DISABLED (call sites must be
-// guarded, as they are in net_bulletin.cpp).
+// the span timeline.  Sampling is muted by obs::set_enabled(false).
 #pragma once
-
-#ifndef OBS_DISABLED
 
 #include <map>
 #include <memory>
@@ -72,5 +68,3 @@ private:
 TimeSeriesRegistry& timeseries();
 
 }  // namespace yoso::obs
-
-#endif  // OBS_DISABLED

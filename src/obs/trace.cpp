@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#ifndef OBS_DISABLED
-
 #include <chrono>
 
 #include "common/json.hpp"
@@ -259,5 +257,3 @@ Span& Span::attr_i64(const char* key, std::int64_t value) {
 }
 
 }  // namespace yoso::obs
-
-#endif  // OBS_DISABLED

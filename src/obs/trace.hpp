@@ -15,7 +15,7 @@
 //
 // Cost model: recording is sampling-free; the span buffer is preallocated
 // and grows geometrically; a muted tracer (obs::set_enabled(false)) costs
-// one branch per event; OBS_DISABLED compiles call sites out entirely.
+// one branch per event.
 // The buffers are lock-protected and thread-safety-annotated ahead of the
 // multi-core engine (docs/STATIC_ANALYSIS.md, "Concurrency readiness").
 #pragma once
@@ -30,8 +30,6 @@
 #include "obs/runtime.hpp"
 
 namespace yoso::obs {
-
-#ifndef OBS_DISABLED
 
 struct SpanAttr {
   std::string key;
@@ -132,22 +130,5 @@ private:
   Span& attr_i64(const char* key, std::int64_t value);
   std::uint32_t id_ = 0;
 };
-
-#else  // OBS_DISABLED: the entire tracer compiles away.
-
-class Span {
-public:
-  explicit Span(const char*, const char* = "proto") {}
-  Span(const std::string&, const char*) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  template <typename K, typename V>
-  Span& attr(K&&, V&&) {
-    return *this;
-  }
-  void end() {}
-};
-
-#endif
 
 }  // namespace yoso::obs

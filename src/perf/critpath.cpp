@@ -39,12 +39,10 @@ CritpathPoint run_critpath_point(const CritpathOptions& opt) {
   Circuit c = wide_mul_circuit(4 * opt.n);
   pt.gates = c.num_mul_gates();
 
-#ifndef OBS_DISABLED
   // Fresh profiler per point so the DAG's delta-snapshots start from a
   // clean cell (the recorder tolerates a nonzero base, but a clean one
   // keeps the reconciliation test in dag_test.cpp exact end to end).
   obs::profiler().reset();
-#endif
 
   net::NetConfig cfg;
   cfg.faults.silence_per_committee = opt.silence;
@@ -63,16 +61,11 @@ CritpathPoint run_critpath_point(const CritpathOptions& opt) {
     pt.completed = false;
   }
 
-#ifndef OBS_DISABLED
   const obs::dag::DagRecorder& dag = board.dag();
   const obs::dag::CritReport report =
       obs::dag::analyze(dag.nodes(), obs::dag::CostCoeffs::reference_table());
   pt.crit_json = obs::dag::crit_report_json(report);
   pt.dag_json = dag.report_json();
-#else
-  pt.crit_json = "{}";
-  pt.dag_json = "{}";
-#endif
   return pt;
 }
 
@@ -99,7 +92,7 @@ std::vector<CritpathCheck> check_critpath(const json::Value& bench, std::string*
   std::vector<CritpathCheck> checks;
   const json::Value* cp = bench.find("critpath");
   if (cp == nullptr || !cp->is_object()) {
-    if (error != nullptr) *error = "no critpath key; run `perf record` on an obs-enabled build";
+    if (error != nullptr) *error = "no critpath key; run `perf record`";
     return checks;
   }
   for (const auto& [key, point] : cp->members) {
@@ -108,7 +101,7 @@ std::vector<CritpathCheck> check_critpath(const json::Value& bench, std::string*
     check.point = key;
     const json::Value* crit = point.find("crit");
     if (crit == nullptr || !crit->is_object() || crit->find("forecast") == nullptr) {
-      check.error = "point carries no forecast (OBS_DISABLED recording?)";
+      check.error = "point carries no forecast";
       checks.push_back(std::move(check));
       continue;
     }

@@ -26,8 +26,6 @@ std::vector<std::vector<mpz_class>> make_inputs(const Circuit& c, std::uint64_t 
   return inputs;
 }
 
-#ifndef OBS_DISABLED
-
 // The op_costs point payload: totals plus a per-phase breakdown with the
 // measured phase wall-clock.  Baselines flatten "ops" (counts exact,
 // self_us within the `_us` factor band) and skip "by_phase" wholesale —
@@ -75,8 +73,6 @@ std::string costs_point_json(const obs::InstrumentCell& cell) {
   return w.take();
 }
 
-#endif  // OBS_DISABLED
-
 }  // namespace
 
 ProfilePoint run_profile_point(unsigned n) {
@@ -90,11 +86,9 @@ ProfilePoint run_profile_point(unsigned n) {
   Circuit c = wide_mul_circuit(4 * n);
   pt.gates = c.num_mul_gates();
 
-#ifndef OBS_DISABLED
   // Fresh cell per point: the sweep caller decides what to do with the
   // previous point's numbers, the point itself must be self-contained.
   obs::profiler().reset();
-#endif
 
   YosoMpc ours(params, c, AdversaryPlan::honest(n), 9300 + n);
   ours.run(make_inputs(c, n));
@@ -102,14 +96,9 @@ ProfilePoint run_profile_point(unsigned n) {
   CdnBaseline cdn(params, c, AdversaryPlan::honest(n), 9400 + n);
   cdn.run(make_inputs(c, n));
 
-#ifndef OBS_DISABLED
   const obs::InstrumentCell cell = obs::profiler().snapshot();
   pt.counts_json = cell.snapshot_json(false);
   pt.costs_json = costs_point_json(cell);
-#else
-  pt.counts_json = "{}";
-  pt.costs_json = "{}";
-#endif
   return pt;
 }
 
@@ -146,7 +135,7 @@ CostModel fit_cost_model(const json::Value& bench) {
   CostModel model;
   const json::Value* costs = bench.find("op_costs");
   if (costs == nullptr || !costs->is_object()) {
-    model.error = "no op_costs key; run `perf record` on an obs-enabled build";
+    model.error = "no op_costs key; run `perf record`";
     return model;
   }
 

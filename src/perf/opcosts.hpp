@@ -32,8 +32,7 @@
 
 namespace yoso::perf {
 
-// One profiled audit-regime point; the JSON payloads are prebuilt so the
-// struct is usable from OBS_DISABLED builds (where they are empty objects).
+// One profiled audit-regime point, its JSON payloads prebuilt.
 struct ProfilePoint {
   unsigned n = 0, t = 0, k = 0;
   std::uint64_t gates = 0;
@@ -80,7 +79,7 @@ struct CostModel {
 
 // Fits the model from a parsed bench document's "op_costs" key.  Missing or
 // unusable data reports ok = false with an error instead of failing the
-// caller: pre-PR-9 bench files and OBS_DISABLED recordings stay auditable.
+// caller: pre-PR-9 bench files stay auditable.
 CostModel fit_cost_model(const json::Value& bench);
 
 std::string cost_model_json(const CostModel& model);

@@ -21,16 +21,10 @@ MpcService::MpcService(ServiceConfig cfg)
   attach_master_clock();
 }
 
-MpcService::~MpcService() {
-#ifndef OBS_DISABLED
-  obs::tracer().detach_virtual_clock(this);
-#endif
-}
+MpcService::~MpcService() { obs::tracer().detach_virtual_clock(this); }
 
 void MpcService::attach_master_clock() {
-#ifndef OBS_DISABLED
   obs::tracer().attach_virtual_clock(this, [this] { return loop_.now(); });
-#endif
 }
 
 std::uint64_t MpcService::submit_at(double at, SessionRequest req) {

@@ -25,11 +25,7 @@ TriplePool::TriplePool(ProtocolParams params, Circuit circuit, net::NetConfig ne
       parked_(cfg.lanes, false),
       restarts_(cfg.lanes, 0) {}
 
-TriplePool::~TriplePool() {
-#ifndef OBS_DISABLED
-  obs::tracer().detach_virtual_clock(this);
-#endif
-}
+TriplePool::~TriplePool() { obs::tracer().detach_virtual_clock(this); }
 
 void TriplePool::set_depth_gauge() {
   stats_.depth = bank_.size();
@@ -98,9 +94,7 @@ void TriplePool::lane_cycle(unsigned lane) {
   unit->board = std::make_unique<net::NetBulletin>(*unit->ledger, net);
   // The board's constructor claimed the tracer's virtual clock for its own
   // private loop; put the service clock back so spans read service time.
-#ifndef OBS_DISABLED
   obs::tracer().attach_virtual_clock(this, [loop = loop_] { return loop->now(); });
-#endif
   unit->mpc = std::make_unique<YosoMpc>(params_, circuit_, plan_, net::mix64(seed_ ^ id),
                                         unit->board.get());
 

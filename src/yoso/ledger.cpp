@@ -68,12 +68,10 @@ void Ledger::record(Phase phase, const std::string& category, std::size_t bytes,
     e.elements += elements;
     e.bytes += bytes;
   }
-#ifndef OBS_DISABLED
   static obs::Counter* by_phase[3] = {&obs::metrics().counter("bytes.posted.setup"),
                                       &obs::metrics().counter("bytes.posted.offline"),
                                       &obs::metrics().counter("bytes.posted.online")};
   by_phase[static_cast<int>(phase)]->add(bytes);
-#endif
 }
 
 LedgerEntry Ledger::phase_total_locked(Phase phase) const {

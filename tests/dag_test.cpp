@@ -25,8 +25,6 @@
 namespace yoso::obs::dag {
 namespace {
 
-#ifndef OBS_DISABLED
-
 class DagTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -36,21 +34,21 @@ protected:
 };
 
 // ---------------------------------------------------------------------------
-// Recorder structure: FlowMatrix-style edge resolution on a hand-driven
-// publish script.
+// Recorder structure: publish -> consume edge resolution (the rule the
+// flow matrix view reads back) on a hand-driven publish script.
 
 TEST_F(DagTest, ResolvesPublishConsumeEdgesLikeFlowMatrix) {
   DagRecorder rec;
   // Dealer posts an input; the setup committee (two roles) consumes it; the
   // offline committee consumes the setup posts; its own post is dropped.
   rec.begin_post("dealer", 0, 0, true);
-  rec.end_post("input", 100, true);
+  rec.end_post("input", 100, 1, true);
   rec.begin_post("setup.cmt", 0, 0, false);
-  rec.end_post("pk", 50, true);
+  rec.end_post("pk", 50, 1, true);
   rec.begin_post("setup.cmt", 1, 0, false);
-  rec.end_post("pk", 50, true);
+  rec.end_post("pk", 50, 1, true);
   rec.begin_post("off.cmt", 0, 1, false);
-  rec.end_post("beaver", 70, false);  // rejected by the board
+  rec.end_post("beaver", 70, 1, false);  // rejected by the board
   rec.finalize();
 
   std::string err;
@@ -116,7 +114,7 @@ TEST_F(DagTest, AttributesCountDeltasToTheRightNodes) {
     ScopedOpContext ctx(PhaseCtx::Setup);
     OBS_OP_COUNT_N(CodecEncode, 2);
   }
-  rec.end_post("msg", 10, true);  // the 2 encodes belong to the post
+  rec.end_post("msg", 10, 1, true);  // the 2 encodes belong to the post
   {
     ScopedOpContext ctx(PhaseCtx::Online);
     OBS_OP_COUNT_N(FieldInv, 3);
@@ -424,20 +422,6 @@ TEST_F(DagTest, PerfettoExportValidatesAsChromeTrace) {
   std::string err;
   EXPECT_TRUE(validate_trace_json(perfetto, &err)) << err;
 }
-
-#else  // OBS_DISABLED: recorder and analyzer compile to stubs.
-
-TEST(DagTest, DisabledStubsCompile) {
-  DagRecorder rec;
-  rec.begin_post("cmt", 0, 0, false);
-  rec.end_post("msg", 10, true);
-  rec.finalize();
-  EXPECT_TRUE(rec.validate());
-  EXPECT_EQ(rec.report_json(), "{}");
-  EXPECT_EQ(rec.edge_count(), 0u);
-}
-
-#endif
 
 }  // namespace
 }  // namespace yoso::obs::dag

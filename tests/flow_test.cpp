@@ -1,9 +1,10 @@
 // Tests for the per-edge flow telemetry (src/obs/flow + src/obs/timeseries
-// and their NetBulletin integration): the traffic matrix must obey the
-// conservation law (per phase, flow messages == PhasePosts::delivered, with
-// and without wire faults), two identical seeded runs must serialize a
-// byte-identical "flow" report section, and the OBS_DISABLED build must
-// compile the same call sites down to empty telemetry.
+// and their NetBulletin integration): the traffic matrix is a view of the
+// happens-before DAG that must group posts by their first committee
+// consumer, obey the conservation law (per phase, flow messages ==
+// PhasePosts::delivered, with and without wire faults or fail-stop roles),
+// and serialize a byte-identical "flow" report section for two identical
+// seeded runs.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,13 +15,12 @@
 #include "common/json.hpp"
 #include "mpc/protocol.hpp"
 #include "net/net_bulletin.hpp"
+#include "obs/dag/dag.hpp"
 #include "obs/flow.hpp"
-#include "obs/runtime.hpp"
-#ifndef OBS_DISABLED
 #include "obs/report.hpp"
+#include "obs/runtime.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#endif
 
 namespace yoso {
 namespace {
@@ -54,10 +54,8 @@ struct FlowRun {
 };
 
 FlowRun run_flow(std::uint64_t seed, NetConfig cfg) {
-#ifndef OBS_DISABLED
   obs::set_enabled(true);
   obs::timeseries().reset();
-#endif
   auto params = ProtocolParams::for_gap(5, 0.2, kBits);
   Circuit c = inner_product_circuit(3);
   auto inputs = make_inputs(c, seed);
@@ -91,77 +89,84 @@ std::array<std::uint64_t, 3> flow_messages(const std::map<FlowKey, FlowCell>& ed
 void expect_conserved(const FlowRun& run) {
   const auto totals = flow_messages(run.edges);
   for (std::size_t i = 0; i < 3; ++i) {
-#ifndef OBS_DISABLED
     EXPECT_EQ(totals[i], run.posts[i].delivered)
         << "phase " << i << ": flow matrix disagrees with board accounting";
-#else
-    EXPECT_EQ(totals[i], 0u);
-#endif
   }
 }
 
 // --- FlowMatrix unit --------------------------------------------------------
 
+// A hand-driven publish script: the view reads consumers off the DAG.
 TEST(FlowMatrix, RecordResolveFinalize) {
-  FlowMatrix fm;
-  fm.record("alpha", "cat.a", 1, 100, 4);
-  fm.record("alpha", "cat.a", 1, 50, 2);
-  fm.record("beta", "cat.b", 2, 10, 1);
-#ifndef OBS_DISABLED
-  EXPECT_EQ(fm.pending(), 3u);
-  EXPECT_TRUE(fm.edges().empty());
+  obs::dag::DagRecorder rec;
+  rec.begin_post("alpha", 0, 1, false);
+  rec.end_post("cat.a", 100, 4, true);
+  rec.begin_post("alpha", 1, 1, false);
+  rec.end_post("cat.a", 50, 2, true);
+  rec.begin_post("alpha", 2, 1, false);
+  rec.end_post("cat.a", 9, 9, false);  // dropped: never appears
+  // A client reads alpha's posts before the next committee acts; it is not
+  // their consumer.
+  rec.begin_post("client", 0, 1, true);
+  rec.end_post("cat.in", 5, 1, true);
+  rec.begin_post("gamma", 0, 2, false);
+  rec.end_post("cat.c", 7, 1, true);
+  rec.begin_post("gamma", 0, 2, false);
+  rec.end_post("cat.c", 10, 1, true);
+  rec.begin_post("gamma", 1, 2, false);
+  rec.end_post("cat.c", 3, 3, false);  // undelivered final post
+  rec.finalize();
+  std::string err;
+  ASSERT_TRUE(rec.validate(&err)) << err;
 
-  fm.resolve("gamma");
-  EXPECT_EQ(fm.pending(), 0u);
-  ASSERT_EQ(fm.edges().size(), 2u);
+  const FlowMatrix fm(rec.nodes());
+  ASSERT_EQ(fm.edges().size(), 3u);
   const FlowCell& merged = fm.edges().at(FlowKey{"alpha", "gamma", "cat.a", 1});
   EXPECT_EQ(merged.messages, 2u);
   EXPECT_EQ(merged.bytes, 150u);
   EXPECT_EQ(merged.elements, 6u);
+  EXPECT_EQ(fm.edges().at(FlowKey{"client", "gamma", "cat.in", 1}).messages, 1u);
+  // gamma's posts have no committee after them: the observers take them.
+  const FlowCell& last = fm.edges().at(FlowKey{"gamma", "observers", "cat.c", 2});
+  EXPECT_EQ(last.messages, 2u);
+  EXPECT_EQ(last.bytes, 17u);
+  EXPECT_EQ(last.elements, 2u);
 
-  fm.record("gamma", "cat.c", 2, 7, 1);
-  fm.finalize("observers");
-  fm.finalize("observers");  // idempotent
-  EXPECT_EQ(fm.edges().at(FlowKey{"gamma", "observers", "cat.c", 2}).messages, 1u);
-  EXPECT_EQ(fm.phase_total(2).bytes, 17u);
-  EXPECT_EQ(fm.phase_total(1).messages, 2u);
-
-  fm.reset();
-  EXPECT_TRUE(fm.edges().empty());
-  EXPECT_EQ(fm.pending(), 0u);
-#else
-  // Compiled out: recording is a no-op and the matrix stays empty.
-  EXPECT_EQ(fm.pending(), 0u);
-  EXPECT_TRUE(fm.edges().empty());
-  fm.resolve("gamma");
-  fm.finalize("observers");
-  EXPECT_EQ(fm.phase_total(1).messages, 0u);
-#endif
+  // Without the trailing residue a consumer-less post still resolves to the
+  // observers.
+  obs::dag::DagRecorder open;
+  open.begin_post("beta", 0, 0, false);
+  open.end_post("cat.b", 1, 1, true);
+  const FlowMatrix pending(open.nodes());
+  ASSERT_EQ(pending.edges().size(), 1u);
+  EXPECT_EQ(pending.edges().begin()->first.dst, "observers");
 }
 
 TEST(FlowMatrix, WriteJsonIsSortedAndInsertionOrderFree) {
-  FlowMatrix a, b;
-  a.record("x", "c1", 0, 1, 1);
-  a.record("a", "c2", 1, 2, 1);
-  a.resolve("dst");
-  b.record("a", "c2", 1, 2, 1);
-  b.record("x", "c1", 0, 1, 1);
-  b.resolve("dst");
+  // The same two posts published in opposite orders.
+  obs::dag::DagRecorder a, b;
+  a.begin_post("x", 0, 0, true);
+  a.end_post("c1", 1, 1, true);
+  a.begin_post("a", 0, 1, true);
+  a.end_post("c2", 2, 1, true);
+  a.begin_post("dst", 0, 1, false);
+  b.begin_post("a", 0, 1, true);
+  b.end_post("c2", 2, 1, true);
+  b.begin_post("x", 0, 0, true);
+  b.end_post("c1", 1, 1, true);
+  b.begin_post("dst", 0, 1, false);
   json::Writer wa, wb;
-  a.write_json(wa);
-  b.write_json(wb);
+  FlowMatrix(a.nodes()).write_json(wa);
+  FlowMatrix(b.nodes()).write_json(wb);
   const std::string ja = wa.take();
   EXPECT_EQ(ja, wb.take());
   const json::Value doc = json::parse(ja);
   ASSERT_TRUE(doc.is_array());
-#ifndef OBS_DISABLED
   ASSERT_EQ(doc.items.size(), 2u);
   EXPECT_EQ(doc.items[0].str_or("src", ""), "a");  // sorted by key, not insertion
   EXPECT_EQ(doc.items[1].str_or("src", ""), "x");
+  EXPECT_EQ(doc.items[0].str_or("dst", ""), "dst");
   EXPECT_EQ(doc.items[0].u64_or("bytes", 0), 2u);
-#else
-  EXPECT_TRUE(doc.items.empty());
-#endif
 }
 
 // --- NetBulletin integration ------------------------------------------------
@@ -170,7 +175,6 @@ TEST(FlowTest, ConservationOnCleanRun) {
   FlowRun run = run_flow(6101, NetConfig{});
   EXPECT_TRUE(run.completed);
   expect_conserved(run);
-#ifndef OBS_DISABLED
   EXPECT_FALSE(run.edges.empty());
   // Every edge has a concrete consumer: the next committee or "observers".
   // With publish-time resolution only the final committee's output posts
@@ -188,7 +192,6 @@ TEST(FlowTest, ConservationOnCleanRun) {
   EXPECT_GT(run.edges.size(), 2 * observer_edges);
   EXPECT_GT(run.posts[1].delivered, 0u);
   EXPECT_GT(run.posts[2].delivered, 0u);
-#endif
 }
 
 TEST(FlowTest, ConservationUnderGracedWireFaults) {
@@ -201,25 +204,32 @@ TEST(FlowTest, ConservationUnderGracedWireFaults) {
   FlowRun run = run_flow(6102, cfg);
   EXPECT_TRUE(run.completed);
   expect_conserved(run);
-#ifndef OBS_DISABLED
   // The injected duplicate copies were dropped by the board, so the flow
   // matrix must count strictly fewer messages than were originated.
   std::uint64_t originated = 0, flow_total = 0;
   for (const auto& pp : run.posts) originated += pp.originated;
   for (const auto& [key, cell] : run.edges) flow_total += cell.messages;
   EXPECT_LT(flow_total, originated);
-#endif
 }
 
 TEST(FlowTest, ConservationUnderLossyWireFaults) {
-  NetConfig cfg;
-  cfg.wire_faults.bitflip_prob = 0.1;
-  cfg.wire_faults.truncate_prob = 0.1;
-  cfg.wire_faults.seed = 62;
+  NetConfig lossy;
+  lossy.wire_faults.bitflip_prob = 0.1;
+  lossy.wire_faults.truncate_prob = 0.1;
+  lossy.wire_faults.seed = 62;
+  // Fail-stop roles never post at all: one silenced role per committee plus
+  // capped churn.
+  NetConfig failstop;
+  failstop.faults.silence_per_committee = 1;
+  failstop.churn.leave_prob = 0.1;
+  failstop.churn.max_per_committee = 1;
+  failstop.churn.seed = 63;
   // The run may abort (dropped posts starve the protocol); the board's
   // accounting and the flow matrix must stay conserved regardless.
-  FlowRun run = run_flow(6103, cfg);
-  expect_conserved(run);
+  expect_conserved(run_flow(6103, lossy));
+  const FlowRun silent = run_flow(6105, failstop);
+  expect_conserved(silent);
+  EXPECT_FALSE(silent.edges.empty());
 }
 
 TEST(FlowTest, ReportSectionIsDeterministicAndComplete) {
@@ -247,18 +257,11 @@ TEST(FlowTest, ReportSectionIsDeterministicAndComplete) {
   const json::Value* series = flow_a->find("series");
   ASSERT_NE(edges, nullptr);
   ASSERT_NE(series, nullptr);
-#ifndef OBS_DISABLED
   EXPECT_FALSE(edges->items.empty());
   // The virtual-clock series sampled at every round flush are in the report.
   EXPECT_NE(series->find("net.inflight.bytes"), nullptr);
   EXPECT_NE(series->find("net.queue.posts"), nullptr);
-#else
-  EXPECT_TRUE(edges->items.empty());
-  EXPECT_TRUE(series->members.empty());
-#endif
 }
-
-#ifndef OBS_DISABLED
 
 // --- Time series ------------------------------------------------------------
 
@@ -333,8 +336,6 @@ TEST(TimeSeries, SeriesBecomeCounterTracksInChromeTrace) {
   reg.reset();
   obs::tracer().reset();
 }
-
-#endif  // OBS_DISABLED
 
 }  // namespace
 }  // namespace yoso

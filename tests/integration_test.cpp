@@ -27,6 +27,10 @@ std::vector<std::vector<mpz_class>> small_inputs(const Circuit& c, std::uint64_t
 struct WorkloadCase {
   const char* name;
   Circuit (*make)();
+
+  // Without a printer gtest dumps the raw pointer bytes, so the discovered
+  // test names (`# GetParam() = ...`) would change with ASLR on every run.
+  friend void PrintTo(const WorkloadCase& w, std::ostream* os) { *os << w.name; }
 };
 
 Circuit make_matmul() { return matmul_circuit(2); }

@@ -18,8 +18,6 @@
 namespace yoso::obs {
 namespace {
 
-#ifndef OBS_DISABLED
-
 // Each test runs against the process-global tracer/metrics; reset both and
 // force-enable recording so test order cannot matter.
 class ObsTest : public ::testing::Test {
@@ -274,20 +272,6 @@ TEST_F(ObsTest, RunReportParsesWithAndWithoutFailure) {
   ASSERT_NE(board_doc->find("posts"), nullptr);
   ASSERT_NE(board_doc->find("ledger"), nullptr);
 }
-
-#else  // OBS_DISABLED
-
-TEST(ObsDisabled, StubsCompileAndDoNothing) {
-  Span s("noop", "test");
-  s.attr("k", 1).attr("s", "v");
-  s.end();
-  OBS_COUNT("noop.count");
-  OBS_COUNT_N("noop.count_n", 3);
-  OBS_HIST("noop.hist", 7);
-  EXPECT_FALSE(enabled());
-}
-
-#endif
 
 }  // namespace
 }  // namespace yoso::obs

@@ -16,8 +16,6 @@
 namespace yoso::obs {
 namespace {
 
-#ifndef OBS_DISABLED
-
 // Every test starts from a clean profiler with recording on (the obs
 // singletons are process-global; see tests/determinism_test.cpp).
 class ProfileTest : public ::testing::Test {
@@ -308,23 +306,6 @@ TEST_F(ProfileTest, OpTrackSamplesRecordCumulativeCounts) {
   profiler().reset();
   EXPECT_TRUE(profiler().op_track_samples().empty());
 }
-
-#else  // OBS_DISABLED: the stub surface must stay source-compatible.
-
-TEST(ProfileTest, DisabledStubsCompileAndEmitEmpty) {
-  InstrumentCell cell;
-  cell.merge(InstrumentCell{});
-  cell.reset();
-  EXPECT_EQ(cell.snapshot_json(true), "{}");
-  ScopedCell guard(&cell);
-  ScopedOpContext ctx(PhaseCtx::Setup);
-  OBS_OP(CtPowmSec);
-  OBS_OP_N(SharePack, 4);
-  OBS_OP_COUNT(PaillierAdd);
-  OBS_OP_COUNT_N(FieldMul, 7);
-}
-
-#endif
 
 }  // namespace
 }  // namespace yoso::obs

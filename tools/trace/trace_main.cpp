@@ -1,7 +1,7 @@
 // trace — the observability CLI over src/obs.
 //
 //   trace run [--seed S] [--n N] [--width W] [--degrade] [--wall]
-//             [--out FILE] [--report FILE]
+//             [--silence R] [--churn P] [--out FILE] [--report FILE]
 //       Run YosoMpc over a NetBulletin with tracing on; write the Chrome
 //       trace-event JSON (stdout or --out) and, with --report, the unified
 //       run report (board + metrics [+ failure]).  Deterministic: the same
@@ -66,7 +66,7 @@ using yoso::chaos::FaultSchedule;
 int usage() {
   std::fprintf(stderr,
                "usage: trace run [--seed S] [--n N] [--width W] [--degrade] [--wall]\n"
-               "                 [--out FILE] [--report FILE]\n"
+               "                 [--silence R] [--churn P] [--out FILE] [--report FILE]\n"
                "       trace check [FILE]\n"
                "       trace summarize [FILE]\n"
                "       trace diff A B\n"
@@ -118,15 +118,13 @@ struct RunOptions {
   bool wall = false;
   std::string out;
   std::string report;
-  // critpath-only knobs.
   unsigned silence = 0;    // fail-stop roles per committee
   double churn = 0;        // per-role departure probability per activation
+  // critpath-only knobs.
   bool measured = false;   // price nodes with live self-times
   unsigned lanes = 4;      // worker lanes in the Perfetto export
   std::string perfetto;    // Perfetto artifact path
 };
-
-#ifndef OBS_DISABLED
 
 struct BoardBox {
   yoso::Ledger ledger;
@@ -181,14 +179,7 @@ int run_traced(const RunOptions& opt, std::vector<std::unique_ptr<BoardBox>>& bo
   return status;
 }
 
-#endif  // OBS_DISABLED
-
 int cmd_run(const RunOptions& opt) {
-#ifdef OBS_DISABLED
-  (void)opt;
-  std::fprintf(stderr, "trace run: built with OBS_DISABLED; no tracer available\n");
-  return 1;
-#else
   std::vector<std::unique_ptr<BoardBox>> boards;
   std::optional<yoso::FailureReport> failure;
   int status = run_traced(opt, boards, failure);
@@ -207,15 +198,9 @@ int cmd_run(const RunOptions& opt) {
     }
   }
   return status;
-#endif
 }
 
 int cmd_costs(const RunOptions& opt) {
-#ifdef OBS_DISABLED
-  (void)opt;
-  std::fprintf(stderr, "trace costs: built with OBS_DISABLED; no profiler available\n");
-  return 1;
-#else
   std::vector<std::unique_ptr<BoardBox>> boards;
   std::optional<yoso::FailureReport> failure;
   const int status = run_traced(opt, boards, failure);
@@ -252,15 +237,9 @@ int cmd_costs(const RunOptions& opt) {
   }
   std::printf("\n");
   return status;
-#endif
 }
 
 int cmd_critpath(const RunOptions& opt) {
-#ifdef OBS_DISABLED
-  (void)opt;
-  std::fprintf(stderr, "trace critpath: built with OBS_DISABLED; no DAG recorder available\n");
-  return 1;
-#else
   namespace dag = yoso::obs::dag;
   std::vector<std::unique_ptr<BoardBox>> boards;
   std::optional<yoso::FailureReport> failure;
@@ -339,7 +318,6 @@ int cmd_critpath(const RunOptions& opt) {
     }
   }
   return status;
-#endif
 }
 
 int cmd_check(const std::string& path) {
@@ -474,9 +452,9 @@ int cmd_diff(const std::string& a_path, const std::string& b_path) {
   const yoso::json::Value doc_a = yoso::json::parse(read_input(a_path));
   const yoso::json::Value doc_b = yoso::json::parse(read_input(b_path));
 
-  // Traces from different obs generations (or builds with obs compiled out)
-  // count different things; deltas then reflect instrumentation drift, not
-  // behavior.  Warn loudly but still diff — the span table is often usable.
+  // Traces from different obs generations count different things; deltas
+  // then reflect instrumentation drift, not behavior.  Warn loudly but still
+  // diff — the span table is often usable.
   const yoso::json::Value* meta_a = doc_a.find("runMeta");
   const yoso::json::Value* meta_b = doc_b.find("runMeta");
   const double gen_a = meta_a == nullptr ? -1 : meta_a->num_or("obs_generation", -1);

@@ -10,7 +10,7 @@
 // point TWICE and refuses to write on any byte difference — the determinism
 // gate CI leans on.
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,25 +19,11 @@
 #include "obs/report.hpp"
 #include "obs/runtime.hpp"
 #include "perf/critpath.hpp"
+#include "perf/sweep.hpp"
 
 using namespace yoso;
 
 namespace {
-
-std::vector<unsigned> parse_sweep(const char* arg) {
-  std::vector<unsigned> ns;
-  std::string s(arg);
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const unsigned n =
-        static_cast<unsigned>(std::strtoul(s.substr(pos, comma - pos).c_str(), nullptr, 10));
-    if (n > 0) ns.push_back(n);
-    pos = comma + 1;
-  }
-  return ns;
-}
 
 // One human line per point: work/span in model-ms plus the forecast knees.
 void print_point(const perf::CritpathPoint& pt) {
@@ -60,10 +46,14 @@ void print_point(const perf::CritpathPoint& pt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<unsigned> ns = argc > 1 ? parse_sweep(argv[1]) : std::vector<unsigned>{4, 6, 8};
-  if (ns.empty()) {
-    std::fprintf(stderr, "usage: %s [n1,n2,...]\n", argv[0]);
-    return 2;
+  std::vector<unsigned> ns = {4, 6, 8};
+  if (argc > 1) {
+    try {
+      ns = perf::parse_sweep(argv[1]);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\nusage: %s [n1,n2,...]\n", e.what(), argv[0]);
+      return 2;
+    }
   }
 
   obs::set_enabled(true);

@@ -1,49 +1,31 @@
-// E15: per-primitive compute profile — the deterministic half of the
-// compute observatory (src/perf/opcosts.hpp).
+// E15: per-primitive compute profile — the op counts of the audit-regime
+// sweep (src/perf/sweep.hpp).
 //
-// Replays the audit-regime sweep under the op profiler and commits the
-// per-primitive call counts (with per-phase attribution) to
-// BENCH_comm.json under "profile".  Counts are a pure function of the
-// seeded run, so the emitted JSON is bit-for-bit identical across
-// re-runs and machines — making this key diffable in review, unlike the
-// machine-dependent self-times that `tools/perf record` writes to the
-// sibling "op_costs" key.
+// Runs the audit sweep under the op profiler and commits the per-primitive
+// call counts (with per-phase attribution) to BENCH_comm.json under
+// "profile".  Counts are a pure function of the seeded run, so the emitted
+// JSON is bit-for-bit identical across re-runs and machines — the same
+// payload `tools/perf record` writes from its audit runs.
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
-#include "common/json.hpp"
 #include "obs/runtime.hpp"
-#include "perf/opcosts.hpp"
+#include "perf/sweep.hpp"
 
 using namespace yoso;
 
-namespace {
-
-std::vector<unsigned> parse_sweep(const char* arg) {
-  std::vector<unsigned> ns;
-  std::string s(arg);
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const unsigned n =
-        static_cast<unsigned>(std::strtoul(s.substr(pos, comma - pos).c_str(), nullptr, 10));
-    if (n > 0) ns.push_back(n);
-    pos = comma + 1;
-  }
-  return ns;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::vector<unsigned> ns = argc > 1 ? parse_sweep(argv[1]) : std::vector<unsigned>{4, 6, 8};
-  if (ns.empty()) {
-    std::fprintf(stderr, "usage: %s [n1,n2,...]\n", argv[0]);
-    return 2;
+  std::vector<unsigned> ns = {4, 6, 8};
+  if (argc > 1) {
+    try {
+      ns = perf::parse_sweep(argv[1]);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\nusage: %s [n1,n2,...]\n", e.what(), argv[0]);
+      return 2;
+    }
   }
 
   // Counts record regardless of the mute switch, but enable recording so a
@@ -51,9 +33,9 @@ int main(int argc, char** argv) {
   obs::set_enabled(true);
 
   std::printf("=== E15: per-primitive op counts (audit regime) ===\n");
-  std::vector<perf::ProfilePoint> points;
+  std::vector<perf::AuditPoint> points;
   for (unsigned n : ns) {
-    perf::ProfilePoint pt = perf::run_profile_point(n);
+    perf::AuditPoint pt = perf::run_audit_point(n);
     std::printf("n=%-3u t=%-3u k=%-3u gates=%llu\n", pt.n, pt.t, pt.k,
                 static_cast<unsigned long long>(pt.gates));
     points.push_back(std::move(pt));

@@ -36,7 +36,7 @@
 //
 // Everything here is counts-only and therefore deterministic: a same-seed
 // replay produces a byte-identical DAG whether obs timing is enabled or
-// muted.  Pricing the nodes (critpath.hpp) uses a fixed reference
+// muted.  Pricing the nodes (src/perf/critpath.hpp) uses a fixed reference
 // coefficient table for the same reason.
 #pragma once
 

@@ -29,7 +29,7 @@ std::string run_report_json(const Bulletin& board, const FailureReport* failure)
   w.key("metrics").raw(metrics().report_json());
   // Per-primitive op counts with per-phase attribution (src/obs/profile.hpp).
   // Counts only — deterministic, so run reports stay byte-identical across
-  // replays; measured self-times live in the op_costs bench key instead.
+  // replays; measured self-times are `trace costs`' live table.
   w.key("op_costs").raw(profiler().op_costs_json(false));
   if (failure != nullptr) w.key("failure").raw(failure->to_json());
   w.end_object();

@@ -1,10 +1,10 @@
 // Unified run report + trace validation.
 //
 // run_report_json() is the one JSON document a run leaves behind: the board
-// report (posts + ledger), the metrics registry snapshot, and — when the run
-// aborted — the structured FailureReport.  Every producer (tools/trace run,
-// the chaos campaign, bench_obs) emits this same shape, so downstream
-// tooling parses one schema instead of three.
+// report (posts + ledger), the metrics registry snapshot, the op counts,
+// and — when the run aborted — the structured FailureReport.  Every producer
+// (tools/trace run, the chaos campaign) emits this same shape, so downstream
+// tooling parses one schema.
 //
 // validate_trace_json() is the schema check behind `tools/trace check` and
 // tests/obs_test: it parses a Chrome trace-event document and verifies the
@@ -24,8 +24,8 @@ namespace yoso::obs {
 // documents changes incompatibly (new op enum entries, new report keys):
 // tools comparing two recordings (`trace diff`, baseline checks) warn when
 // generations differ instead of reporting spurious behavioral deltas.
-//   1 — PR 9 compute observatory (op_costs, profile keys)
-//   2 — PR 10 causality observatory (run metadata, codec ops, dag/critpath)
+//   1 — compute observatory (per-primitive op counts, profile key)
+//   2 — causality observatory (run metadata, codec ops, dag/critpath)
 inline constexpr int kObsGeneration = 2;
 
 // {"obs_generation":2,"build":"release|debug"}

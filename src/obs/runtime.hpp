@@ -1,8 +1,9 @@
 // Runtime on/off switch shared by the span tracer and the metrics registry.
 //
 // set_enabled(false) mutes recording behind one predictable branch per
-// event, which is what bench_obs uses to price the enabled instrumentation
-// inside a single binary (the `obs_overhead` key).
+// event, which is what bench/e2e's traced pass (the same instances muted,
+// then recording) uses to price the enabled instrumentation inside a
+// single binary (`obs.overhead_frac`).
 #pragma once
 
 namespace yoso::obs {

@@ -57,42 +57,6 @@ PowerFit fit_power_law(const std::vector<double>& x, const std::vector<double>& 
   return fit;
 }
 
-LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y) {
-  LinearFit fit;
-  if (x.size() != y.size() || x.size() < 3) return fit;
-  const std::size_t m = x.size();
-  double mx = 0, my = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    mx += x[i];
-    my += y[i];
-  }
-  mx /= static_cast<double>(m);
-  my /= static_cast<double>(m);
-  double sxx = 0, sxy = 0, syy = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    sxx += (x[i] - mx) * (x[i] - mx);
-    sxy += (x[i] - mx) * (y[i] - my);
-    syy += (y[i] - my) * (y[i] - my);
-  }
-  if (sxx <= 0) return fit;
-  fit.points = m;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  double sse = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const double resid = y[i] - (fit.intercept + fit.slope * x[i]);
-    sse += resid * resid;
-  }
-  fit.r2 = syy > 0 ? 1.0 - sse / syy : 1.0;
-  const double df = static_cast<double>(m - 2);
-  fit.se_slope = std::sqrt((sse / df) / sxx);
-  const double t = t_critical_975(m - 2);
-  fit.ci_lo = fit.slope - t * fit.se_slope;
-  fit.ci_hi = fit.slope + t * fit.se_slope;
-  fit.ok = true;
-  return fit;
-}
-
 ExponentCheck check_exponent(std::string name, const std::vector<double>& x,
                              const std::vector<double>& y, ExponentBand band) {
   ExponentCheck check;

@@ -38,23 +38,6 @@ struct PowerFit {
 // fit reports ok = false rather than silently dropping them).
 PowerFit fit_power_law(const std::vector<double>& x, const std::vector<double>& y);
 
-struct LinearFit {
-  bool ok = false;       // >= 3 points with nonzero x variance
-  std::size_t points = 0;
-  double slope = 0;      // b in y ~ a + b x
-  double intercept = 0;  // a
-  double r2 = 0;
-  double se_slope = 0;
-  double ci_lo = 0;      // 95% confidence band on the slope
-  double ci_hi = 0;
-};
-
-// Plain (untransformed) OLS y ~ a + b x.  Used by the per-phase compute
-// cost model: x = Σ count_p · µs_p predicted from per-op self-times,
-// y = measured phase wall-clock; slope ≈ 1 with small residual means the
-// primitive terms explain the phase (tools/perf audit, docs/PROFILING.md).
-LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y);
-
 // Two-sided 97.5% Student-t critical value for `df` degrees of freedom
 // (exact table for df <= 10, 1.96 asymptote above).
 double t_critical_975(std::size_t df);

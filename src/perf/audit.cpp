@@ -88,9 +88,6 @@ AuditReport audit_scaling(const json::Value& bench) {
     report.pass = report.pass && check.pass;
   }
 
-  report.cost_model = fit_cost_model(bench);
-  if (report.cost_model.ok) report.pass = report.pass && report.cost_model.pass;
-
   report.critpath = check_critpath(bench, &report.critpath_note);
   for (const CritpathCheck& check : report.critpath) {
     report.pass = report.pass && check.pass();
@@ -132,7 +129,6 @@ std::string audit_report_json(const AuditReport& report) {
   w.field("speedup", report.speedup.speedup);
   w.field("floor", report.speedup_floor);
   w.end_object();
-  w.key("cost_model").raw(cost_model_json(report.cost_model));
   w.key("critpath").begin_object();
   if (!report.critpath_note.empty()) w.field("note", report.critpath_note);
   w.key("points").begin_array();

@@ -21,7 +21,6 @@
 #include "common/json.hpp"
 #include "obs/scaling.hpp"
 #include "perf/critpath.hpp"
-#include "perf/opcosts.hpp"
 
 namespace yoso::perf {
 
@@ -29,14 +28,9 @@ struct AuditReport {
   std::vector<obs::ExponentCheck> checks;
   obs::SpeedupDerivation speedup;
   double speedup_floor = 28.0;  // the paper's headline ratio
-  // Per-phase compute cost model, fitted when the bench file carries an
-  // op_costs section (perf/opcosts.hpp).  Absent data is a note, not a
-  // failure — pre-PR-9 bench files stay auditable — but a fitted model
-  // below its explained-fraction floor fails the audit.
-  CostModel cost_model;
   // Forecast-curve checks over the "critpath" key (perf/critpath.hpp):
-  // speedup(k) non-decreasing, <= k, <= the parallelism ceiling.  Same
-  // absent-is-a-note policy as the cost model.
+  // speedup(k) non-decreasing, <= k, <= the parallelism ceiling.  An
+  // absent key is a note, not a failure.
   std::vector<CritpathCheck> critpath;
   std::string critpath_note;
   bool pass = false;

@@ -2,18 +2,17 @@
 //
 // A baseline is a flat {"metric.path": number} object committed under
 // bench/baselines/.  Metrics are the numeric leaves of the recorded bench
-// keys (online_comm / offline_comm / scaling_audit), flattened by joining
-// member names with '.'; per-category ledger breakdowns are skipped so a
-// baseline stays reviewable while still pinning every phase total.
+// keys (online_comm / offline_comm / scaling_audit / profile / critpath),
+// flattened by joining member names with '.'; per-category ledger
+// breakdowns and per-phase op splits are skipped so a baseline stays
+// reviewable while still pinning every phase total and op total.
 //
 // Tolerances are by metric suffix: ".bytes" leaves get a relative band
 // (serialized sizes may drift a few percent with encoder changes that are
-// not regressions), "_us" leaves — the op_costs self-times and phase
-// wall-clocks — get a wide 4x factor band (they are real measured time and
-// vary by machine; the gate exists to catch order-of-magnitude cliffs),
-// everything else — message and element counts, op call counts, the
-// recorded t/k/gates parameters — must match exactly, because the benches
-// are seeded and deterministic.  A metric present in the baseline but
+// not regressions); everything else — message and element counts, op call
+// counts, the recorded t/k/gates parameters — must match exactly, because
+// the benches are seeded and deterministic.  Wall time is not gated here:
+// bench/e2e owns it.  A metric present in the baseline but
 // missing from the current run is a failure, not a skip: silently dropping
 // a metric is how regressions hide.
 #pragma once

@@ -1,13 +1,33 @@
 #include "perf/sweep.hpp"
 
+#include <stdexcept>
+
 #include "baseline/cdn.hpp"
 #include "circuit/workloads.hpp"
 #include "common/json.hpp"
 #include "mpc/protocol.hpp"
+#include "obs/profile.hpp"
 
 namespace yoso::perf {
 
-namespace {
+std::vector<unsigned> parse_sweep(const std::string& arg) {
+  std::vector<unsigned> ns;
+  std::size_t pos = 0;
+  do {
+    std::size_t comma = arg.find(',', pos);
+    if (comma == std::string::npos) comma = arg.size();
+    const std::string tok = arg.substr(pos, comma - pos);
+    const bool digits = !tok.empty() && tok.size() <= 9 &&
+                        tok.find_first_not_of("0123456789") == std::string::npos;
+    const unsigned long n = digits ? std::stoul(tok) : 0;
+    if (n == 0) {
+      throw std::invalid_argument("bad sweep list '" + arg + "': want n,n,... with every n >= 1");
+    }
+    ns.push_back(static_cast<unsigned>(n));
+    pos = comma + 1;
+  } while (pos <= arg.size());
+  return ns;
+}
 
 // Same input derivation as the standalone benches: Rng seeded with n.
 std::vector<std::vector<mpz_class>> make_inputs(const Circuit& c, std::uint64_t seed) {
@@ -20,6 +40,8 @@ std::vector<std::vector<mpz_class>> make_inputs(const Circuit& c, std::uint64_t 
   }
   return inputs;
 }
+
+namespace {
 
 double category_elems(const Ledger& ledger, Phase phase, const std::string& cat) {
   const auto& cats = ledger.categories(phase);
@@ -91,6 +113,9 @@ AuditPoint run_audit_point(unsigned n) {
   Circuit c = wide_mul_circuit(4 * n);
   pt.gates = c.num_mul_gates();
 
+  // Fresh profiler cell per point: the counts cover exactly these two runs.
+  obs::profiler().reset();
+
   YosoMpc ours(params, c, AdversaryPlan::honest(n), 9300 + n);
   ours.run(make_inputs(c, n));
   pt.ours_mult_elems = category_elems(ours.ledger(), Phase::Online, "online.mult");
@@ -104,6 +129,8 @@ AuditPoint run_audit_point(unsigned n) {
   pt.cdn_mult_elems = category_elems(cdn.ledger(), Phase::Online, "cdn.mult.pdec");
   pt.cdn_mult_bytes = category_bytes(cdn.ledger(), Phase::Online, "cdn.mult.pdec");
   pt.cdn_report = cdn.ledger().report_json();
+
+  pt.counts_json = obs::profiler().snapshot().snapshot_json(false);
   return pt;
 }
 
@@ -146,6 +173,23 @@ std::string scaling_audit_json(const std::vector<AuditPoint>& pts) {
     w.field("gates", static_cast<std::uint64_t>(pt.gates));
     w.key("ours").raw(pt.ours_report);
     w.key("cdn").raw(pt.cdn_report);
+    w.end_object();
+  }
+  w.end_object();
+  return w.take();
+}
+
+std::string profile_sweep_json(const std::vector<AuditPoint>& pts) {
+  json::Writer w;
+  w.begin_object();
+  for (const auto& pt : pts) {
+    std::string key = "n";
+    key += std::to_string(pt.n);
+    w.key(key).begin_object();
+    w.field("t", pt.t);
+    w.field("k", pt.k);
+    w.field("gates", static_cast<std::uint64_t>(pt.gates));
+    w.key("counts").raw(pt.counts_json);
     w.end_object();
   }
   w.end_object();

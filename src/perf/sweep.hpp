@@ -13,13 +13,30 @@
 // pins k = max(1, (n+2)/4) so n/k stays (near) constant and the fitted
 // slope measures the per-gate cost law itself.  Seeds 9300/9400 + n keep
 // the audit runs distinct from the headline benches.
+//
+// The audit runs also carry the compute profile: run_audit_point() resets
+// the op profiler before its two runs and snapshots the counts after them,
+// so one point exercises all four phase contexts — ours' setup/offline/
+// online plus the CDN baseline — and the "profile" key (E15) is a pure
+// function of the same seeded runs as "scaling_audit".
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "circuit/circuit.hpp"
+
 namespace yoso::perf {
+
+// Parses a --sweep list ("4,8,12").  Throws std::invalid_argument on an
+// empty list or any empty, non-numeric or zero token, so a CLI can print
+// its usage before any run starts.
+std::vector<unsigned> parse_sweep(const std::string& arg);
+
+// The sweep input derivation shared by every recorder: Rng seeded with
+// `seed` (the committee size n), one value below 2^20 per input gate.
+std::vector<std::vector<mpz_class>> make_inputs(const Circuit& c, std::uint64_t seed);
 
 // One point of the E3 online sweep: ours + CDN on wide_mul_circuit(4n).
 struct OnlinePoint {
@@ -52,6 +69,7 @@ struct AuditPoint {
   double offline_bytes = 0, offline_elems = 0;      // ours offline phase total
   std::string ours_report;
   std::string cdn_report;
+  std::string counts_json;  // {"ops":{...counts only...}} over both runs
 };
 
 // The pinned packing factor of the audit regime: max(1, (n+2)/4), which
@@ -66,5 +84,6 @@ AuditPoint run_audit_point(unsigned n);
 std::string online_comm_json(const std::vector<OnlinePoint>& pts);
 std::string offline_comm_json(const std::vector<OfflinePoint>& pts);
 std::string scaling_audit_json(const std::vector<AuditPoint>& pts);
+std::string profile_sweep_json(const std::vector<AuditPoint>& pts);
 
 }  // namespace yoso::perf

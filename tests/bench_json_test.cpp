@@ -2,19 +2,20 @@
 // the one-key-per-line BENCH_comm.json merge now goes through the
 // json::parse funnel (round trips exactly, rejects malformed files instead
 // of silently clobbering them), baselines flatten to suffix-toleranced
-// metric maps, and the JSONL history round-trips snapshots.
+// metric maps, and the one --sweep parser rejects malformed lists.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "perf/baseline.hpp"
 #include "perf/benchfile.hpp"
-#include "perf/history.hpp"
+#include "perf/sweep.hpp"
 
 namespace yoso {
 namespace {
@@ -101,22 +102,23 @@ TEST(Baseline, ToleranceBySuffix) {
   EXPECT_DOUBLE_EQ(perf::tolerance_for("a.b.messages"), 0.0);
   EXPECT_DOUBLE_EQ(perf::tolerance_for("a.b.elements"), 0.0);
   EXPECT_DOUBLE_EQ(perf::tolerance_for("scaling_audit.n4.k"), 0.0);
-  // Measured time gets the wide factor band; op call counts stay exact.
-  EXPECT_DOUBLE_EQ(perf::tolerance_for("op_costs.n4.costs.ops.ct.powm_sec.self_us"), 4.0);
-  EXPECT_DOUBLE_EQ(perf::tolerance_for("op_costs.n4.costs.ops.ct.powm_sec.count"), 0.0);
+  // Op call counts are exact, and so is any measured-time leaf: wall time
+  // is not a baseline metric, so no suffix earns it a band.
+  EXPECT_DOUBLE_EQ(perf::tolerance_for("profile.n4.counts.ops.ct.powm_sec.count"), 0.0);
+  EXPECT_DOUBLE_EQ(perf::tolerance_for("profile.n4.counts.ops.ct.powm_sec.self_us"), 0.0);
 }
 
-// The op_costs point payload: "ops" totals flatten (count exact, self_us
-// factor-banded via the suffix above) while the per-phase breakdown — the
-// cost model's input, not a gate — is skipped like "categories".
+// The profile point payload: the "ops" totals flatten (counts exact) while
+// the per-phase split is skipped like "categories", so the profile.* keys
+// stay at one total per primitive.
 TEST(Baseline, FlattensOpCostsButSkipsByPhase) {
   const json::Value doc = json::parse(
-      R"({"op_costs":{"n4":{"k":1,"costs":{"ops":{"ct.powm_sec":{"count":96,"self_us":1875.2}},)"
-      R"("by_phase":{"setup":{"wall_us":9000,"ops":{"ct.powm_sec":{"count":40,"self_us":800}}}}}}}})");
-  auto metrics = perf::flatten_metrics(doc, {"op_costs"});
-  EXPECT_EQ(metrics.at("op_costs.n4.k"), 1);
-  EXPECT_EQ(metrics.at("op_costs.n4.costs.ops.ct.powm_sec.count"), 96);
-  EXPECT_DOUBLE_EQ(metrics.at("op_costs.n4.costs.ops.ct.powm_sec.self_us"), 1875.2);
+      R"({"profile":{"n4":{"k":1,"counts":{"ops":{"ct.powm_sec":{"count":96,)"
+      R"("by_phase":{"setup":{"count":40},"online":{"count":56}}}}}}}})");
+  auto metrics = perf::flatten_metrics(doc, {"profile"});
+  EXPECT_EQ(metrics.size(), 2u);
+  EXPECT_EQ(metrics.at("profile.n4.k"), 1);
+  EXPECT_EQ(metrics.at("profile.n4.counts.ops.ct.powm_sec.count"), 96);
   for (const auto& [key, value] : metrics) {
     EXPECT_EQ(key.find("by_phase"), std::string::npos) << key;
   }
@@ -158,67 +160,19 @@ TEST(Baseline, ParsesFlatObjectIgnoringNonNumbers) {
   EXPECT_EQ(metrics.at("a.bytes"), 10);
 }
 
-// --- history ----------------------------------------------------------------
+// --- --sweep parsing --------------------------------------------------------
 
-TEST(History, AppendsAndLoadsSnapshots) {
-  const std::string path = temp_path("history_roundtrip.jsonl");
-  spit(path, "");
-  perf::HistorySnapshot a{"2026-08-06T00:00:00Z", "first", {{"m.bytes", 100}}};
-  perf::HistorySnapshot b{"2026-08-06T01:00:00Z", "second", {{"m.bytes", 110}, {"m.new", 1}}};
-  perf::append_history(path, a);
-  perf::append_history(path, b);
-
-  auto snaps = perf::load_history(path);
-  ASSERT_EQ(snaps.size(), 2u);
-  EXPECT_EQ(snaps[0].timestamp, "2026-08-06T00:00:00Z");
-  EXPECT_EQ(snaps[0].label, "first");
-  EXPECT_EQ(snaps[0].metrics.at("m.bytes"), 100);
-  EXPECT_EQ(snaps[1].metrics.size(), 2u);
-
-  // One snapshot per line, parseable standalone.
-  const std::string text = slurp(path);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
-}
-
-// History files straddle the introduction of the profiler: snapshots
-// recorded before the "profile" / "op_costs" bench keys existed sit next to
-// lines that carry the flattened op counts.  Both generations must load
-// from one file, and the old lines simply have no op metrics — absence, not
-// an error.
-TEST(History, MixedGenerationLinesLoadTogether) {
-  const std::string path = temp_path("history_compat.jsonl");
-  // A pre-profiler line, exactly as older `perf record` builds wrote it.
-  spit(path,
-       R"({"timestamp":"2026-07-01T00:00:00Z","label":"pre-profiler",)"
-       R"("metrics":{"online_comm.n4.ours.online.total.bytes":1234}})"
-       "\n");
-  perf::HistorySnapshot current{
-      "2026-08-08T00:00:00Z",
-      "with-profile",
-      {{"online_comm.n4.ours.online.total.bytes", 1240},
-       {"profile.n4.counts.ops.ct.powm_sec.count", 96},
-       {"op_costs.n4.costs.ops.ct.powm_sec.self_us", 1875.2}}};
-  perf::append_history(path, current);
-
-  auto snaps = perf::load_history(path);
-  ASSERT_EQ(snaps.size(), 2u);
-  EXPECT_EQ(snaps[0].label, "pre-profiler");
-  EXPECT_EQ(snaps[0].metrics.size(), 1u);
-  EXPECT_EQ(snaps[0].metrics.count("profile.n4.counts.ops.ct.powm_sec.count"), 0u);
-  EXPECT_EQ(snaps[1].metrics.at("profile.n4.counts.ops.ct.powm_sec.count"), 96);
-  // Round trip: the new-generation line re-parses bit-exactly.
-  EXPECT_EQ(perf::snapshot_json(snaps[1]), perf::snapshot_json(current));
-}
-
-TEST(History, MalformedLineNamesItsLineNumber) {
-  const std::string path = temp_path("history_malformed.jsonl");
-  spit(path, perf::snapshot_json({"t", "l", {}}) + "\n{oops\n");
-  try {
-    perf::load_history(path);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-  }
+// perf record, bench_profile and bench_critpath share this parser; each
+// exits 2 with usage on a throw, before any protocol run starts.
+TEST(ParseSweep, AcceptsListsAndRejectsBadTokens) {
+  EXPECT_EQ(perf::parse_sweep("4,8"), (std::vector<unsigned>{4, 8}));
+  EXPECT_EQ(perf::parse_sweep("12"), (std::vector<unsigned>{12}));
+  EXPECT_THROW(perf::parse_sweep(""), std::invalid_argument);
+  EXPECT_THROW(perf::parse_sweep("abc"), std::invalid_argument);
+  EXPECT_THROW(perf::parse_sweep("4,,8"), std::invalid_argument);
+  EXPECT_THROW(perf::parse_sweep("0"), std::invalid_argument);
+  EXPECT_THROW(perf::parse_sweep("4,x"), std::invalid_argument);
+  EXPECT_THROW(perf::parse_sweep("4,"), std::invalid_argument);
 }
 
 }  // namespace

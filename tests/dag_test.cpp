@@ -1,7 +1,7 @@
 // The causality observatory (src/obs/dag): happens-before DAG
 // reconstruction, the exact counts-reconciliation contract, structural
 // invariants under seeded wire-fault/churn schedules, and the critical-path
-// analyzer's work/span/forecast guarantees.
+// analyzer's work/span/forecast guarantees (src/perf/critpath.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,15 +15,27 @@
 #include "mpc/failure.hpp"
 #include "mpc/protocol.hpp"
 #include "net/net_bulletin.hpp"
-#include "obs/dag/critpath.hpp"
 #include "obs/dag/dag.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "obs/runtime.hpp"
+#include "perf/critpath.hpp"
 #include "perf/sweep.hpp"
 
 namespace yoso::obs::dag {
 namespace {
+
+using perf::analyze;
+using perf::CostCoeffs;
+using perf::crit_report_json;
+using perf::critpath_perfetto_json;
+using perf::CritReport;
+using perf::ForecastPoint;
+using perf::list_schedule;
+using perf::node_work_us;
+using perf::PhaseCrit;
+using perf::Schedule;
+using perf::ScheduledTask;
 
 class DagTest : public ::testing::Test {
 protected:
@@ -228,7 +240,6 @@ TEST_F(DagTest, ChaosSchedulesNeverDangleConsumeEdges) {
 
 CostCoeffs unit_coeffs() {
   CostCoeffs c;
-  c.reference = true;
   c.us_per_op[static_cast<unsigned>(Op::FieldMul)] = 1.0;
   return c;
 }

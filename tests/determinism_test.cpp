@@ -80,6 +80,11 @@ TEST(DeterminismTest, PerfSweepPointReplays) {
   expect_replay_identical([] {
     return perf::online_comm_json({perf::run_online_point(4)});
   });
+  // The audit point carries the "profile" op counts as well as the ledgers.
+  expect_replay_identical([] {
+    const perf::AuditPoint pt = perf::run_audit_point(4);
+    return perf::scaling_audit_json({pt}) + "\n" + perf::profile_sweep_json({pt});
+  });
 }
 
 TEST(DeterminismTest, ServiceRunReplays) {

@@ -1,14 +1,11 @@
 // perf — the performance observatory CLI over src/perf.
 //
-//   perf record [--sweep 4,6,8,12,16] [--json FILE] [--history FILE]
-//               [--label STR]
-//       Run the online/offline/audit/profile sweeps and merge the results
+//   perf record [--sweep 4,6,8,12,16] [--json FILE]
+//       Run the online/offline/audit/critpath sweeps and merge the results
 //       into the bench file (default BENCH_comm.json, keys online_comm /
-//       offline_comm / scaling_audit / profile / op_costs); append a
-//       timestamped snapshot to the history file (default
-//       BENCH_history.jsonl, "" to skip).  Deterministic except the
-//       op_costs "_us" leaves: seeded protocol runs, so two records of the
-//       same sweep produce identical counts; self-times are measured.
+//       offline_comm / scaling_audit / profile / critpath / meta).  The
+//       profile counts come from the audit runs.  Deterministic: seeded
+//       protocol runs, so two records of the same sweep are byte-identical.
 //   perf check [--json FILE] --baseline FILE
 //       Compare the recorded metrics against a committed baseline; exit
 //       nonzero listing every violated tolerance (bytes +-10%, counts and
@@ -16,17 +13,16 @@
 //   perf audit [--json FILE] [--report FILE]
 //       Fit the scaling_audit sweep's per-gate exponents and verdict them
 //       against the paper's claimed asymptotics; re-derive the headline
-//       speedup at C=1000, f=0.05.  Exit nonzero on any violated band.
-//   perf trend [--history FILE]
-//       Diff the last two history snapshots; list every metric that moved.
+//       speedup at C=1000, f=0.05; gate the critpath forecast curves.
+//       Exit nonzero on any violated band.
 //   perf baseline [--json FILE] --out FILE
 //       Seed a baseline file from the currently recorded metrics.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,8 +32,6 @@
 #include "perf/baseline.hpp"
 #include "perf/benchfile.hpp"
 #include "perf/critpath.hpp"
-#include "perf/history.hpp"
-#include "perf/opcosts.hpp"
 #include "perf/sweep.hpp"
 
 namespace {
@@ -45,15 +39,13 @@ namespace {
 using namespace yoso;
 
 const std::vector<std::string> kBenchKeys = {"online_comm", "offline_comm", "scaling_audit",
-                                             "profile", "op_costs", "critpath"};
+                                             "profile", "critpath"};
 
 int usage() {
   std::fprintf(stderr,
-               "usage: perf record [--sweep N,N,...] [--json FILE] [--history FILE]\n"
-               "                   [--label STR]\n"
+               "usage: perf record [--sweep N,N,...] [--json FILE]\n"
                "       perf check [--json FILE] --baseline FILE\n"
                "       perf audit [--json FILE] [--report FILE]\n"
-               "       perf trend [--history FILE]\n"
                "       perf baseline [--json FILE] --out FILE\n");
   return 2;
 }
@@ -64,39 +56,15 @@ std::string read_file(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-std::vector<unsigned> parse_sweep(const std::string& arg) {
-  std::vector<unsigned> ns;
-  std::size_t pos = 0;
-  while (pos < arg.size()) {
-    std::size_t comma = arg.find(',', pos);
-    if (comma == std::string::npos) comma = arg.size();
-    const std::string tok = arg.substr(pos, comma - pos);
-    if (!tok.empty()) ns.push_back(static_cast<unsigned>(std::strtoul(tok.c_str(), nullptr, 10)));
-    pos = comma + 1;
-  }
-  return ns;
-}
-
-std::string utc_now() {
-  const std::time_t now = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&now, &tm_utc);
-  char buf[32];
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
-
 std::map<std::string, double> current_metrics(const std::string& json_path) {
   const json::Value doc = json::parse(read_file(json_path));
   return perf::flatten_metrics(doc, kBenchKeys);
 }
 
-int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path,
-               const std::string& history_path, const std::string& label) {
+int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path) {
   std::vector<perf::OnlinePoint> online;
   std::vector<perf::OfflinePoint> offline;
   std::vector<perf::AuditPoint> audit;
-  std::vector<perf::ProfilePoint> profile;
   std::vector<perf::CritpathPoint> critpath;
   for (unsigned n : sweep) {
     std::printf("recording n=%u: online...", n);
@@ -108,9 +76,6 @@ int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path,
     std::printf(" audit (k=%u)...", perf::audit_packing(n));
     std::fflush(stdout);
     audit.push_back(perf::run_audit_point(n));
-    std::printf(" profile...");
-    std::fflush(stdout);
-    profile.push_back(perf::run_profile_point(n));
     std::printf(" critpath...");
     std::fflush(stdout);
     perf::CritpathOptions copt;
@@ -121,20 +86,10 @@ int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path,
   perf::merge_bench_json(json_path, "online_comm", perf::online_comm_json(online));
   perf::merge_bench_json(json_path, "offline_comm", perf::offline_comm_json(offline));
   perf::merge_bench_json(json_path, "scaling_audit", perf::scaling_audit_json(audit));
-  perf::merge_bench_json(json_path, "profile", perf::profile_sweep_json(profile));
-  perf::merge_bench_json(json_path, "op_costs", perf::op_costs_sweep_json(profile));
+  perf::merge_bench_json(json_path, "profile", perf::profile_sweep_json(audit));
   perf::merge_bench_json(json_path, "critpath", perf::critpath_sweep_json(critpath));
   // Self-describing header: which build / obs generation recorded the file.
   perf::merge_bench_json(json_path, "meta", obs::run_metadata_json());
-
-  if (!history_path.empty()) {
-    perf::HistorySnapshot snap;
-    snap.timestamp = utc_now();
-    snap.label = label;
-    snap.metrics = current_metrics(json_path);
-    perf::append_history(history_path, snap);
-    std::printf("[%s appended: %zu metrics]\n", history_path.c_str(), snap.metrics.size());
-  }
   return 0;
 }
 
@@ -191,31 +146,6 @@ int cmd_audit(const std::string& json_path, const std::string& report_path) {
   } else {
     std::printf("\nHeadline re-derivation: infeasible (missing audit data)  FAIL\n");
   }
-  const perf::CostModel& cm = report.cost_model;
-  if (cm.ok) {
-    std::printf("\nPer-phase compute cost model (phase wall ~= sum count_p * us_p):\n");
-    std::printf("  %-24s %12s %12s %12s\n", "primitive", "calls", "self_us", "us/call");
-    for (const perf::CostTerm& t : cm.terms) {
-      if (t.count == 0) continue;
-      std::printf("  %-24s %12llu %12.1f %12.4f\n", t.op.c_str(),
-                  static_cast<unsigned long long>(t.count), t.self_us, t.us_per_op);
-    }
-    std::printf("  %-18s %4s %14s %14s %10s\n", "phase", "n", "predicted_us", "measured_us",
-                "explained");
-    for (const perf::CostModelRow& row : cm.rows) {
-      std::printf("  %-18s %4u %14.1f %14.1f %9.1f%%\n", row.phase.c_str(), row.n,
-                  row.predicted_us, row.measured_us, row.explained * 100.0);
-    }
-    if (cm.fit.ok) {
-      std::printf("  OLS measured ~ %.3f * predicted + %.1f us  (r^2 %.4f, %zu points)\n",
-                  cm.fit.slope, cm.fit.intercept, cm.fit.r2, cm.fit.points);
-    }
-    std::printf("  explained at n=%u: %.1f%% (floor %.0f%%)  %s\n", cm.n_max,
-                cm.explained_at_n_max * 100.0, cm.explained_floor * 100.0,
-                cm.pass ? "PASS" : "FAIL");
-  } else {
-    std::printf("\nPer-phase compute cost model: skipped (%s)\n", cm.error.c_str());
-  }
   if (!report.critpath_note.empty()) {
     std::printf("\nCritical-path forecast: skipped (%s)\n", report.critpath_note.c_str());
   } else if (!report.critpath.empty()) {
@@ -240,40 +170,6 @@ int cmd_audit(const std::string& json_path, const std::string& report_path) {
   return report.pass ? 0 : 1;
 }
 
-int cmd_trend(const std::string& history_path) {
-  const auto snaps = perf::load_history(history_path);
-  if (snaps.size() < 2) {
-    std::printf("history %s has %zu snapshot(s); need 2 for a trend\n", history_path.c_str(),
-                snaps.size());
-    return 0;
-  }
-  const perf::HistorySnapshot& prev = snaps[snaps.size() - 2];
-  const perf::HistorySnapshot& last = snaps.back();
-  std::printf("trend: %s (%s) -> %s (%s)\n", prev.timestamp.c_str(), prev.label.c_str(),
-              last.timestamp.c_str(), last.label.c_str());
-  std::size_t moved = 0;
-  for (const auto& [metric, value] : last.metrics) {
-    auto it = prev.metrics.find(metric);
-    if (it == prev.metrics.end()) {
-      std::printf("  NEW     %-60s %.6g\n", metric.c_str(), value);
-      ++moved;
-    } else if (it->second != value) {
-      const double delta = it->second != 0 ? (value - it->second) / it->second * 100.0 : 0.0;
-      std::printf("  CHANGED %-60s %.6g -> %.6g (%+.2f%%)\n", metric.c_str(), it->second,
-                  value, delta);
-      ++moved;
-    }
-  }
-  for (const auto& [metric, value] : prev.metrics) {
-    if (last.metrics.find(metric) == last.metrics.end()) {
-      std::printf("  GONE    %-60s was %.6g\n", metric.c_str(), value);
-      ++moved;
-    }
-  }
-  if (moved == 0) std::printf("  no metric moved (%zu tracked)\n", last.metrics.size());
-  return 0;
-}
-
 int cmd_baseline(const std::string& json_path, const std::string& out_path) {
   const auto metrics = current_metrics(json_path);
   std::vector<std::pair<std::string, std::string>> entries;
@@ -293,39 +189,35 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   std::string json_path = "BENCH_comm.json";
-  std::string history_path = "BENCH_history.jsonl";
-  std::string baseline_path, out_path, report_path, label;
+  std::string baseline_path, out_path, report_path;
   std::vector<unsigned> sweep = {4, 6, 8, 12, 16};
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--history") == 0 && i + 1 < argc) {
-      history_path = argv[++i];
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
       report_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
-      label = argv[++i];
     } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
-      sweep = parse_sweep(argv[++i]);
+      try {
+        sweep = perf::parse_sweep(argv[++i]);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "perf: %s\n", e.what());
+        return usage();
+      }
     } else {
       return usage();
     }
   }
   try {
-    if (cmd == "record") {
-      if (sweep.empty()) return usage();
-      return cmd_record(sweep, json_path, history_path, label);
-    }
+    if (cmd == "record") return cmd_record(sweep, json_path);
     if (cmd == "check") {
       if (baseline_path.empty()) return usage();
       return cmd_check(json_path, baseline_path);
     }
     if (cmd == "audit") return cmd_audit(json_path, report_path);
-    if (cmd == "trend") return cmd_trend(history_path);
     if (cmd == "baseline") {
       if (out_path.empty()) return usage();
       return cmd_baseline(json_path, out_path);

@@ -21,16 +21,15 @@
 //       table: calls, self-µs, µs/call, per-phase breakdown (E15's live
 //       twin; docs/PROFILING.md).
 //   trace critpath [--seed S] [--n N] [--width W] [--degrade] [--silence R]
-//                  [--churn P] [--measured] [--lanes K] [--out FILE]
-//                  [--perfetto FILE]
-//       Reconstruct the happens-before DAG of the run (src/obs/dag), print
+//                  [--churn P] [--lanes K] [--out FILE] [--perfetto FILE]
+//       Reconstruct the happens-before DAG of the run (src/obs/dag), price
+//       it with the reference table (src/perf/critpath.hpp), print
 //       the per-phase work/span table, the forecast speedup curve for
 //       k ∈ {1,2,4,8,16}, and the top critical-path bottlenecks; --out
 //       writes the deterministic critpath JSON, --perfetto a standalone
 //       Chrome-trace document with the critical path and the k-worker
 //       schedule as dedicated tracks.  --silence/--churn inject fail-stop
-//       faults to show how they serialize the run; --measured prices nodes
-//       with this machine's self-times instead of the reference table.
+//       faults to show how they serialize the run.
 //   trace export FILE --cat C
 //       Re-emit a trace keeping only events of category C (plus metadata).
 #include <cstdint>
@@ -52,12 +51,12 @@
 #include "mpc/protocol.hpp"
 #include "net/net_bulletin.hpp"
 #include "net/wire_faults.hpp"  // mix64
-#include "obs/dag/critpath.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "perf/critpath.hpp"
 
 namespace {
 
@@ -72,7 +71,7 @@ int usage() {
                "       trace diff A B\n"
                "       trace costs [--seed S] [--n N] [--width W] [--degrade]\n"
                "       trace critpath [--seed S] [--n N] [--width W] [--degrade]\n"
-               "                      [--silence R] [--churn P] [--measured] [--lanes K]\n"
+               "                      [--silence R] [--churn P] [--lanes K]\n"
                "                      [--out FILE] [--perfetto FILE]\n"
                "       trace export FILE --cat C\n");
   return 2;
@@ -121,7 +120,6 @@ struct RunOptions {
   unsigned silence = 0;    // fail-stop roles per committee
   double churn = 0;        // per-role departure probability per activation
   // critpath-only knobs.
-  bool measured = false;   // price nodes with live self-times
   unsigned lanes = 4;      // worker lanes in the Perfetto export
   std::string perfetto;    // Perfetto artifact path
 };
@@ -241,6 +239,7 @@ int cmd_costs(const RunOptions& opt) {
 
 int cmd_critpath(const RunOptions& opt) {
   namespace dag = yoso::obs::dag;
+  namespace perf = yoso::perf;
   std::vector<std::unique_ptr<BoardBox>> boards;
   std::optional<yoso::FailureReport> failure;
   const int status = run_traced(opt, boards, failure);
@@ -256,21 +255,18 @@ int cmd_critpath(const RunOptions& opt) {
     std::fprintf(stderr, "trace critpath: invalid DAG: %s\n", dag_error.c_str());
     return 1;
   }
-  const dag::CostCoeffs coeffs =
-      opt.measured ? dag::CostCoeffs::measured(yoso::obs::profiler().snapshot())
-                   : dag::CostCoeffs::reference_table();
-  const dag::CritReport report = dag::analyze(rec.nodes(), coeffs);
+  const perf::CostCoeffs& coeffs = perf::CostCoeffs::reference_table();
+  const perf::CritReport report = perf::analyze(rec.nodes(), coeffs);
 
-  std::printf("critical path (seed %llu, n=%u, width=%u%s%s): %s\n",
+  std::printf("critical path (seed %llu, n=%u, width=%u%s): %s\n",
               static_cast<unsigned long long>(opt.seed), opt.n, opt.width,
               opt.silence > 0 || opt.churn > 0 ? ", faulted" : "",
-              opt.measured ? ", measured costs" : "",
               yoso::obs::run_metadata_json().c_str());
   std::printf("%-10s %8s %14s %14s %12s\n", "phase", "nodes", "work_ms", "span_ms",
               "parallelism");
   static constexpr const char* kPhaseNames[3] = {"setup", "offline", "online"};
   for (unsigned p = 0; p < 3; ++p) {
-    const dag::PhaseCrit& pc = report.phases[p];
+    const perf::PhaseCrit& pc = report.phases[p];
     std::printf("%-10s %8zu %14.3f %14.3f %12.2f\n", kPhaseNames[p], pc.nodes, pc.work / 1e3,
                 pc.span / 1e3, pc.parallelism());
   }
@@ -278,7 +274,7 @@ int cmd_critpath(const RunOptions& opt) {
               report.total.work / 1e3, report.total.span / 1e3, report.total.parallelism());
 
   std::printf("\nforecast (list-scheduled on k virtual workers):\n ");
-  for (const dag::ForecastPoint& fp : report.forecast) {
+  for (const perf::ForecastPoint& fp : report.forecast) {
     std::printf(" k=%-2u %5.2fx", fp.k, fp.speedup);
   }
   std::printf("\n");
@@ -286,8 +282,8 @@ int cmd_critpath(const RunOptions& opt) {
   // Bottleneck table: the heaviest nodes on the critical path.
   std::vector<std::uint32_t> path = report.critical_path;
   std::sort(path.begin(), path.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const double wa = dag::node_work_us(rec.nodes()[a], coeffs);
-    const double wb = dag::node_work_us(rec.nodes()[b], coeffs);
+    const double wa = perf::node_work_us(rec.nodes()[a], coeffs);
+    const double wb = perf::node_work_us(rec.nodes()[b], coeffs);
     if (wa != wb) return wa > wb;
     return a < b;
   });
@@ -297,21 +293,21 @@ int cmd_critpath(const RunOptions& opt) {
                 report.critical_path.size());
     for (std::size_t i = 0; i < top; ++i) {
       const dag::DagNode& node = rec.nodes()[path[i]];
-      const double work = dag::node_work_us(node, coeffs);
+      const double work = perf::node_work_us(node, coeffs);
       std::printf("  %zu. %-28s %-9s %12.3f ms  %5.1f%% of span\n", i + 1,
-                  dag::node_display_name(node).c_str(), dag::node_kind_name(node.kind),
+                  perf::node_display_name(node).c_str(), dag::node_kind_name(node.kind),
                   work / 1e3, 100.0 * work / report.total.span);
     }
   }
 
   if (!opt.out.empty()) {
-    if (!write_output(opt.out, dag::crit_report_json(report))) {
+    if (!write_output(opt.out, perf::crit_report_json(report))) {
       std::fprintf(stderr, "trace critpath: cannot write %s\n", opt.out.c_str());
       return 1;
     }
   }
   if (!opt.perfetto.empty()) {
-    const std::string doc = dag::critpath_perfetto_json(rec.nodes(), coeffs, opt.lanes);
+    const std::string doc = perf::critpath_perfetto_json(rec.nodes(), coeffs, opt.lanes);
     if (!write_output(opt.perfetto, doc)) {
       std::fprintf(stderr, "trace critpath: cannot write %s\n", opt.perfetto.c_str());
       return 1;
@@ -481,7 +477,7 @@ int cmd_diff(const std::string& a_path, const std::string& b_path) {
                 (sb.total_us - sa.total_us) / 1e3);
   }
 
-  // op_costs comparison: final per-primitive counts.  Counts are
+  // Op-count comparison: final per-primitive counts.  Counts are
   // deterministic, so any delta is a real behavioral difference.
   const auto oa = aggregate_ops(doc_a);
   const auto ob = aggregate_ops(doc_b);
@@ -551,8 +547,6 @@ int main(int argc, char** argv) {
           opt.silence = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
         } else if (std::strcmp(argv[i], "--churn") == 0 && i + 1 < argc) {
           opt.churn = std::strtod(argv[++i], nullptr);
-        } else if (std::strcmp(argv[i], "--measured") == 0) {
-          opt.measured = true;
         } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
           opt.lanes = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
         } else if (std::strcmp(argv[i], "--perfetto") == 0 && i + 1 < argc) {

@@ -13,9 +13,9 @@
 #include <cstdio>
 #include <sstream>
 
-#include "bench_json.hpp"
 #include "chaos/campaign.hpp"
 #include "chaos/minimize.hpp"
+#include "perf/benchfile.hpp"
 
 using namespace yoso;
 using chaos::CampaignRunner;
@@ -67,6 +67,6 @@ int main(int argc, char** argv) {
        << ",\"invariant_violations\":" << summary.invariant_violations
        << ",\"minimizer\":{\"from_faults\":" << planted.active_faults()
        << ",\"to_faults\":" << res.schedule.active_faults() << ",\"tests\":" << res.tests << "}}";
-  bench::merge_bench_json("BENCH_comm.json", "chaos_campaign", json.str());
+  perf::merge_bench_json("BENCH_comm.json", "chaos_campaign", json.str());
   return summary.all_acceptable() ? 0 : 1;
 }

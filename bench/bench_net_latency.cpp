@@ -15,10 +15,10 @@
 #include <vector>
 
 #include "baseline/cdn.hpp"
-#include "bench_json.hpp"
 #include "circuit/workloads.hpp"
 #include "mpc/protocol.hpp"
 #include "net/net_bulletin.hpp"
+#include "perf/benchfile.hpp"
 
 using namespace yoso;
 using namespace yoso::net;
@@ -143,6 +143,6 @@ int main() {
   }
 
   json << "}";
-  yoso::bench::merge_bench_json("BENCH_comm.json", "net_latency", json.str());
+  yoso::perf::merge_bench_json("BENCH_comm.json", "net_latency", json.str());
   return 0;
 }

@@ -11,8 +11,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "common/json.hpp"
+#include "perf/benchfile.hpp"
 #include "perf/sweep.hpp"
 
 using namespace yoso;
@@ -53,7 +53,7 @@ int main() {
     }
   }
 
-  yoso::bench::merge_bench_json("BENCH_comm.json", "offline_comm",
+  yoso::perf::merge_bench_json("BENCH_comm.json", "offline_comm",
                                 perf::offline_comm_json(points));
   return 0;
 }

@@ -13,10 +13,10 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "circuit/batching.hpp"
 #include "circuit/workloads.hpp"
 #include "mpc/params.hpp"
+#include "perf/benchfile.hpp"
 #include "perf/sweep.hpp"
 #include "sortition/analysis.hpp"
 
@@ -78,7 +78,7 @@ int main() {
     }
   }
 
-  yoso::bench::merge_bench_json("BENCH_comm.json", "online_comm",
+  yoso::perf::merge_bench_json("BENCH_comm.json", "online_comm",
                                 perf::online_comm_json(points));
   return 0;
 }

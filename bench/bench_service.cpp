@@ -16,8 +16,8 @@
 #include <cstdlib>
 #include <memory>
 
-#include "bench_json.hpp"
 #include "common/json.hpp"
+#include "perf/benchfile.hpp"
 #include "service/service.hpp"
 #include "service/workloads.hpp"
 
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   w.field("pool_peak_depth", static_cast<std::uint64_t>(stats.pool.peak_depth));
   w.field("deterministic", deterministic ? 1 : 0);
   w.end_object();
-  bench::merge_bench_json("BENCH_comm.json", "service_load", w.take());
+  perf::merge_bench_json("BENCH_comm.json", "service_load", w.take());
 
   bool ok = deterministic && stats.completed == sessions && verified == sessions;
   // Steady-state pool efficiency only meaningful on a long enough run.

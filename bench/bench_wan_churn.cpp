@@ -18,9 +18,9 @@
 #include <cstdlib>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "chaos/campaign.hpp"
 #include "common/json.hpp"
+#include "perf/benchfile.hpp"
 
 using namespace yoso;
 using chaos::CampaignRunner;
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   w.field("sunk_bytes", static_cast<std::uint64_t>(sunk_bytes));
   w.field("deterministic", deterministic ? 1 : 0);
   w.end_object();
-  bench::merge_bench_json("BENCH_comm.json", "wan_churn", w.take());
+  perf::merge_bench_json("BENCH_comm.json", "wan_churn", w.take());
 
   bool ok = deterministic && summary.all_acceptable();
   if (summary.recovered == 0) {

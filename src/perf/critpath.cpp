@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <queue>
-
-#include "circuit/workloads.hpp"
-#include "mpc/failure.hpp"
-#include "mpc/protocol.hpp"
-#include "net/net_bulletin.hpp"
-#include "perf/sweep.hpp"
 
 namespace yoso::perf {
 
@@ -353,64 +348,6 @@ std::string critpath_perfetto_json(const std::vector<DagNode>& nodes, const Cost
   }
 
   w.end_array();
-  w.end_object();
-  return w.take();
-}
-
-CritpathPoint run_critpath_point(const CritpathOptions& opt) {
-  CritpathPoint pt;
-  pt.n = opt.n;
-  auto params = ProtocolParams::for_gap(opt.n, 0.25, 128);
-  params.k = audit_packing(opt.n);
-  params.validate();
-  pt.t = params.t;
-  pt.k = params.k;
-  Circuit c = wide_mul_circuit(4 * opt.n);
-  pt.gates = c.num_mul_gates();
-
-  // Fresh profiler per point so the DAG's delta-snapshots start from a
-  // clean cell (the recorder tolerates a nonzero base, but a clean one
-  // keeps the reconciliation test in dag_test.cpp exact end to end).
-  obs::profiler().reset();
-
-  net::NetConfig cfg;
-  cfg.faults.silence_per_committee = opt.silence;
-  if (opt.churn_prob > 0) {
-    cfg.churn.leave_prob = opt.churn_prob;
-    cfg.churn.seed = opt.seed_base + opt.n;
-  }
-  Ledger ledger;
-  net::NetBulletin board(ledger, cfg);
-
-  YosoMpc ours(params, c, AdversaryPlan::honest(opt.n), opt.seed_base + opt.n, &board);
-  try {
-    ours.run(make_inputs(c, opt.n));
-  } catch (const ProtocolAbort&) {
-    // Faulted runs may classify-abort; the DAG up to the abort still prices.
-    pt.completed = false;
-  }
-
-  const obs::dag::DagRecorder& dag = board.dag();
-  pt.crit_json = crit_report_json(analyze(dag.nodes(), CostCoeffs::reference_table()));
-  pt.dag_json = dag.report_json();
-  return pt;
-}
-
-std::string critpath_sweep_json(const std::vector<CritpathPoint>& pts) {
-  json::Writer w;
-  w.begin_object();
-  for (const auto& pt : pts) {
-    std::string key = "n";
-    key += std::to_string(pt.n);
-    w.key(key).begin_object();
-    w.field("t", pt.t);
-    w.field("k", pt.k);
-    w.field("gates", static_cast<std::uint64_t>(pt.gates));
-    w.field("completed", pt.completed);
-    w.key("crit").raw(pt.crit_json);
-    w.key("dag").raw(pt.dag_json);
-    w.end_object();
-  }
   w.end_object();
   return w.take();
 }

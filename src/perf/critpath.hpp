@@ -1,6 +1,5 @@
 // Critical-path analysis: work/span and a parallel-speedup forecaster over
-// the happens-before DAG (obs/dag/dag.hpp), the audit-regime sweep point
-// that records it, and the forecast-curve gate.
+// the happens-before DAG (obs/dag/dag.hpp), and the forecast-curve gate.
 //
 // Node weights: each DAG node carries per-(phase, op) counts; a node's work
 // is Sigma count * coefficient.  The coefficient table is a FIXED reference
@@ -22,15 +21,16 @@
 // as the running minimum over k' <= k — k workers can always emulate fewer
 // by idling.
 //
-// run_critpath_point() replays the audit-regime configuration (the same
-// circuits and packing as perf/sweep.hpp, seeds 9500 + n) over a
-// NetBulletin so the board reconstructs the DAG, then prices it with the
-// reference table; bench_critpath commits the sweep to BENCH_comm.json
-// (E16) and `perf check` baseline-gates it.  Fault variants (silenced
-// roles, background churn) show how fail-stop faults serialize the run:
-// dropped posts become DAG leaves, the surviving roles' work concentrates
-// on fewer parallel chains, and the forecast curve flattens
-// (docs/OBSERVABILITY.md, "Causality & critical path").
+// The "critpath" key (E16) comes from the audit runs: run_audit_point()
+// (perf/sweep.hpp, seeds 9300 + n) runs ours over a NetBulletin so the
+// board reconstructs the DAG, and prices it with the reference table;
+// `perf record` commits the sweep to BENCH_comm.json and `perf check`
+// baseline-gates it.  `trace critpath` analyses its own board, with
+// optional fail-stop faults (silenced roles, background churn) that show
+// how faults serialize the run: dropped posts become DAG leaves, the
+// surviving roles' work concentrates on fewer parallel chains, and the
+// forecast curve flattens (docs/OBSERVABILITY.md, "Causality & critical
+// path").
 //
 // check_critpath() is the CI gate over a recorded "critpath" key:
 // speedup(k) must be non-decreasing in k (the analyzer reports the
@@ -122,26 +122,6 @@ std::string critpath_perfetto_json(const std::vector<obs::dag::DagNode>& nodes,
 
 // Display name for a DAG node ("c:off.beaver#3", "post:beaver.a", ...).
 std::string node_display_name(const obs::dag::DagNode& node);
-
-struct CritpathOptions {
-  unsigned n = 8;
-  unsigned silence = 0;       // fail-stop roles per committee
-  double churn_prob = 0;      // per-role departure probability per activation
-  std::uint64_t seed_base = 9500;  // run seed = seed_base + n
-};
-
-struct CritpathPoint {
-  unsigned n = 0, t = 0, k = 0;
-  std::uint64_t gates = 0;
-  bool completed = true;     // faulted runs may abort; the DAG so far still prices
-  std::string crit_json;     // crit_report_json — deterministic
-  std::string dag_json;      // DAG summary (nodes/edges/kinds)
-};
-
-CritpathPoint run_critpath_point(const CritpathOptions& opt);
-
-// BENCH value for the "critpath" key: {"n4": {...}, "n8": {...}}.
-std::string critpath_sweep_json(const std::vector<CritpathPoint>& pts);
 
 // One gated point from a recorded critpath key.
 struct CritpathCheck {

@@ -1,14 +1,29 @@
 #include "perf/sweep.hpp"
 
+#include <charconv>
+#include <climits>
 #include <stdexcept>
 
 #include "baseline/cdn.hpp"
 #include "circuit/workloads.hpp"
 #include "common/json.hpp"
 #include "mpc/protocol.hpp"
+#include "net/net_bulletin.hpp"
 #include "obs/profile.hpp"
+#include "perf/critpath.hpp"
 
 namespace yoso::perf {
+
+std::optional<std::uint64_t> parse_uint(std::string_view tok, std::uint64_t lo,
+                                        std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  // from_chars accepts no sign or space for an unsigned type; the first
+  // character must be a digit, so "+4" and "-4" fail here too.
+  if (tok.empty() || ec != std::errc() || ptr != end || v < lo || v > hi) return std::nullopt;
+  return v;
+}
 
 std::vector<unsigned> parse_sweep(const std::string& arg) {
   std::vector<unsigned> ns;
@@ -16,14 +31,11 @@ std::vector<unsigned> parse_sweep(const std::string& arg) {
   do {
     std::size_t comma = arg.find(',', pos);
     if (comma == std::string::npos) comma = arg.size();
-    const std::string tok = arg.substr(pos, comma - pos);
-    const bool digits = !tok.empty() && tok.size() <= 9 &&
-                        tok.find_first_not_of("0123456789") == std::string::npos;
-    const unsigned long n = digits ? std::stoul(tok) : 0;
-    if (n == 0) {
+    const auto n = parse_uint(std::string_view(arg).substr(pos, comma - pos), 1, UINT_MAX);
+    if (!n) {
       throw std::invalid_argument("bad sweep list '" + arg + "': want n,n,... with every n >= 1");
     }
-    ns.push_back(static_cast<unsigned>(n));
+    ns.push_back(static_cast<unsigned>(*n));
     pos = comma + 1;
   } while (pos <= arg.size());
   return ns;
@@ -53,6 +65,30 @@ double category_bytes(const Ledger& ledger, Phase phase, const std::string& cat)
   const auto& cats = ledger.categories(phase);
   auto it = cats.find(cat);
   return it == cats.end() ? 0 : static_cast<double>(it->second.bytes);
+}
+
+std::string point_key(unsigned n) {
+  std::string key = "n";  // not "n" + to_string: GCC 12 -O2 trips -Werror=restrict
+  key += std::to_string(n);
+  return key;
+}
+
+// {"n4": {"t":..,"k":..,"gates":.., <members(w, pt)>}, ...}: the per-point
+// header every audit-derived key shares.
+template <typename Members>
+std::string audit_sweep_json(const std::vector<AuditPoint>& pts, Members members) {
+  json::Writer w;
+  w.begin_object();
+  for (const auto& pt : pts) {
+    w.key(point_key(pt.n)).begin_object();
+    w.field("t", pt.t);
+    w.field("k", pt.k);
+    w.field("gates", static_cast<std::uint64_t>(pt.gates));
+    members(w, pt);
+    w.end_object();
+  }
+  w.end_object();
+  return w.take();
 }
 
 }  // namespace
@@ -113,16 +149,24 @@ AuditPoint run_audit_point(unsigned n) {
   Circuit c = wide_mul_circuit(4 * n);
   pt.gates = c.num_mul_gates();
 
-  // Fresh profiler cell per point: the counts cover exactly these two runs.
+  // Fresh profiler cell per point: the counts cover exactly these two runs,
+  // and the DAG recorder (built with the board) starts from a clean cell.
   obs::profiler().reset();
 
-  YosoMpc ours(params, c, AdversaryPlan::honest(n), 9300 + n);
+  Ledger ledger;
+  net::NetBulletin board(ledger);
+  YosoMpc ours(params, c, AdversaryPlan::honest(n), 9300 + n, &board);
   ours.run(make_inputs(c, n));
-  pt.ours_mult_elems = category_elems(ours.ledger(), Phase::Online, "online.mult");
-  pt.ours_mult_bytes = category_bytes(ours.ledger(), Phase::Online, "online.mult");
-  pt.offline_elems = static_cast<double>(ours.ledger().phase_total(Phase::Offline).elements);
-  pt.offline_bytes = static_cast<double>(ours.ledger().phase_total(Phase::Offline).bytes);
-  pt.ours_report = ours.ledger().report_json();
+  pt.ours_mult_elems = category_elems(ledger, Phase::Online, "online.mult");
+  pt.ours_mult_bytes = category_bytes(ledger, Phase::Online, "online.mult");
+  pt.offline_elems = static_cast<double>(ledger.phase_total(Phase::Offline).elements);
+  pt.offline_bytes = static_cast<double>(ledger.phase_total(Phase::Offline).bytes);
+  pt.ours_report = ledger.report_json();
+  // Finalize and price the DAG now: after the CDN run its Residue node
+  // would absorb the CDN's ops.
+  const obs::dag::DagRecorder& dag = board.dag();
+  pt.crit_json = crit_report_json(analyze(dag.nodes(), CostCoeffs::reference_table()));
+  pt.dag_json = dag.report_json();
 
   CdnBaseline cdn(params, c, AdversaryPlan::honest(n), 9400 + n);
   cdn.run(make_inputs(c, n));
@@ -138,9 +182,7 @@ std::string online_comm_json(const std::vector<OnlinePoint>& pts) {
   json::Writer w;
   w.begin_object();
   for (const auto& pt : pts) {
-    std::string key = "n";
-    key += std::to_string(pt.n);
-    w.key(key).begin_object();
+    w.key(point_key(pt.n)).begin_object();
     w.key("ours").raw(pt.ours_report);
     w.key("cdn").raw(pt.cdn_report);
     w.end_object();
@@ -152,48 +194,29 @@ std::string online_comm_json(const std::vector<OnlinePoint>& pts) {
 std::string offline_comm_json(const std::vector<OfflinePoint>& pts) {
   json::Writer w;
   w.begin_object();
-  for (const auto& pt : pts) {
-    std::string key = "n";
-    key += std::to_string(pt.n);
-    w.key(key).raw(pt.report);
-  }
+  for (const auto& pt : pts) w.key(point_key(pt.n)).raw(pt.report);
   w.end_object();
   return w.take();
 }
 
 std::string scaling_audit_json(const std::vector<AuditPoint>& pts) {
-  json::Writer w;
-  w.begin_object();
-  for (const auto& pt : pts) {
-    std::string key = "n";
-    key += std::to_string(pt.n);
-    w.key(key).begin_object();
-    w.field("t", pt.t);
-    w.field("k", pt.k);
-    w.field("gates", static_cast<std::uint64_t>(pt.gates));
+  return audit_sweep_json(pts, [](json::Writer& w, const AuditPoint& pt) {
     w.key("ours").raw(pt.ours_report);
     w.key("cdn").raw(pt.cdn_report);
-    w.end_object();
-  }
-  w.end_object();
-  return w.take();
+  });
 }
 
 std::string profile_sweep_json(const std::vector<AuditPoint>& pts) {
-  json::Writer w;
-  w.begin_object();
-  for (const auto& pt : pts) {
-    std::string key = "n";
-    key += std::to_string(pt.n);
-    w.key(key).begin_object();
-    w.field("t", pt.t);
-    w.field("k", pt.k);
-    w.field("gates", static_cast<std::uint64_t>(pt.gates));
+  return audit_sweep_json(pts, [](json::Writer& w, const AuditPoint& pt) {
     w.key("counts").raw(pt.counts_json);
-    w.end_object();
-  }
-  w.end_object();
-  return w.take();
+  });
+}
+
+std::string critpath_sweep_json(const std::vector<AuditPoint>& pts) {
+  return audit_sweep_json(pts, [](json::Writer& w, const AuditPoint& pt) {
+    w.key("crit").raw(pt.crit_json);
+    w.key("dag").raw(pt.dag_json);
+  });
 }
 
 }  // namespace yoso::perf

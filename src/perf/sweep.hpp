@@ -14,24 +14,38 @@
 // slope measures the per-gate cost law itself.  Seeds 9300/9400 + n keep
 // the audit runs distinct from the headline benches.
 //
-// The audit runs also carry the compute profile: run_audit_point() resets
-// the op profiler before its two runs and snapshots the counts after them,
-// so one point exercises all four phase contexts — ours' setup/offline/
-// online plus the CDN baseline — and the "profile" key (E15) is a pure
-// function of the same seeded runs as "scaling_audit".
+// One audit run yields every audit-derived key.  run_audit_point() resets
+// the op profiler, runs ours over a net::NetBulletin and the CDN baseline
+// on the default board, and keeps:
+//   - the two ledgers ("scaling_audit");
+//   - the op counts over both runs ("profile", E15), so one point covers
+//     all four phase contexts: ours' setup/offline/online plus the CDN's;
+//   - the happens-before DAG of ours' run, priced with the reference table
+//     (perf/critpath.hpp) into the "critpath" analysis and DAG summary (E16).
+// The DAG is finalized before the CDN run starts, so its Residue node holds
+// none of the CDN's ops: dag.op_total equals the profile total minus its
+// by_phase.cdn counts.  Every key is a pure function of seeds 9300/9400 + n.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 
 namespace yoso::perf {
 
-// Parses a --sweep list ("4,8,12").  Throws std::invalid_argument on an
-// empty list or any empty, non-numeric or zero token, so a CLI can print
-// its usage before any run starts.
+// Parses one numeric CLI token: decimal digits only, within [lo, hi].
+// Empty, signed, non-numeric and out-of-range tokens yield nullopt, so a
+// CLI can print its usage before any run starts.
+std::optional<std::uint64_t> parse_uint(std::string_view tok, std::uint64_t lo = 0,
+                                        std::uint64_t hi = UINT64_MAX);
+
+// Parses a --sweep list ("4,8,12") token by token with parse_uint.  Throws
+// std::invalid_argument on an empty list or any empty, non-numeric or zero
+// token.
 std::vector<unsigned> parse_sweep(const std::string& arg);
 
 // The sweep input derivation shared by every recorder: Rng seeded with
@@ -60,7 +74,8 @@ struct OfflinePoint {
 };
 
 // One point of the controlled fixed-ratio audit sweep (4n-wide circuit,
-// k pinned by audit_packing).
+// k pinned by audit_packing), with everything the three audit-derived keys
+// need.
 struct AuditPoint {
   unsigned n = 0, t = 0, k = 0;
   std::uint64_t gates = 0;
@@ -70,6 +85,8 @@ struct AuditPoint {
   std::string ours_report;
   std::string cdn_report;
   std::string counts_json;  // {"ops":{...counts only...}} over both runs
+  std::string crit_json;    // crit_report_json of ours' DAG — deterministic
+  std::string dag_json;     // DAG summary (nodes/edges/kinds/op_total)
 };
 
 // The pinned packing factor of the audit regime: max(1, (n+2)/4), which
@@ -85,5 +102,6 @@ std::string online_comm_json(const std::vector<OnlinePoint>& pts);
 std::string offline_comm_json(const std::vector<OfflinePoint>& pts);
 std::string scaling_audit_json(const std::vector<AuditPoint>& pts);
 std::string profile_sweep_json(const std::vector<AuditPoint>& pts);
+std::string critpath_sweep_json(const std::vector<AuditPoint>& pts);
 
 }  // namespace yoso::perf

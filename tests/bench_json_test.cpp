@@ -5,9 +5,11 @@
 // metric maps, and the one --sweep parser rejects malformed lists.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -162,8 +164,8 @@ TEST(Baseline, ParsesFlatObjectIgnoringNonNumbers) {
 
 // --- --sweep parsing --------------------------------------------------------
 
-// perf record, bench_profile and bench_critpath share this parser; each
-// exits 2 with usage on a throw, before any protocol run starts.
+// `perf record --sweep` exits 2 with usage on a throw, before any protocol
+// run starts.
 TEST(ParseSweep, AcceptsListsAndRejectsBadTokens) {
   EXPECT_EQ(perf::parse_sweep("4,8"), (std::vector<unsigned>{4, 8}));
   EXPECT_EQ(perf::parse_sweep("12"), (std::vector<unsigned>{12}));
@@ -173,6 +175,23 @@ TEST(ParseSweep, AcceptsListsAndRejectsBadTokens) {
   EXPECT_THROW(perf::parse_sweep("0"), std::invalid_argument);
   EXPECT_THROW(perf::parse_sweep("4,x"), std::invalid_argument);
   EXPECT_THROW(perf::parse_sweep("4,"), std::invalid_argument);
+  EXPECT_THROW(perf::parse_sweep("4294967296"), std::invalid_argument);
+}
+
+// The token parser under parse_sweep and trace's numeric flags (--n,
+// --width, --seed, --silence, --lanes); a nullopt makes the CLI print usage
+// and exit 2 instead of running with a silently truncated value.
+TEST(ParseSweep, ParseUintAcceptsDigitsWithinRange) {
+  EXPECT_EQ(perf::parse_uint("0"), 0u);
+  EXPECT_EQ(perf::parse_uint("42"), 42u);
+  EXPECT_EQ(perf::parse_uint("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(perf::parse_uint("6", 1, 16), 6u);
+  for (const char* bad : {"", "abc", "x", "4x", " 4", "4 ", "+4", "-4", "0x10", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(perf::parse_uint(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(perf::parse_uint("0", 1), std::nullopt);
+  EXPECT_EQ(perf::parse_uint("4294967296", 0, UINT32_MAX), std::nullopt);
 }
 
 }  // namespace

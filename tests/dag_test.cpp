@@ -155,6 +155,27 @@ TEST_F(DagTest, AttributesCountDeltasToTheRightNodes) {
   EXPECT_EQ(rec.recorded_total().total(), 10u);
 }
 
+// The audit point finalizes and prices ours' DAG before the CDN run starts,
+// so the DAG holds every op of ours' run and none of the CDN's: its
+// op_total is exactly the profile total minus the profile's by_phase.cdn
+// counts.  A DAG finalized after the CDN run would fold the CDN's ops into
+// its Residue node and break the identity.
+TEST_F(DagTest, AuditPointDagReconcilesWithProfileMinusCdn) {
+  const perf::AuditPoint pt = perf::run_audit_point(4);
+  const json::Value counts = json::parse(pt.counts_json);
+  const json::Value* ops = counts.find("ops");
+  ASSERT_NE(ops, nullptr);
+  std::uint64_t total = 0;
+  std::uint64_t cdn = 0;
+  for (const auto& [name, op] : ops->members) {
+    total += op.u64_or("count", 0);
+    const json::Value* by_cdn = op.find("by_phase")->find("cdn");
+    if (by_cdn != nullptr) cdn += by_cdn->u64_or("count", 0);
+  }
+  EXPECT_GT(cdn, 0u);
+  EXPECT_EQ(json::parse(pt.dag_json).u64_or("op_total", 0), total - cdn);
+}
+
 // ---------------------------------------------------------------------------
 // Property: over seeded chaos schedules (drops, duplicates, corruption,
 // truncation, lateness, silence, churn) the reconstructed DAG always

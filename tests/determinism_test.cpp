@@ -18,7 +18,6 @@
 #include "obs/profile.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "perf/critpath.hpp"
 #include "perf/sweep.hpp"
 #include "service/service.hpp"
 
@@ -131,15 +130,13 @@ TEST(DeterminismTest, OpCountsIdenticalEnabledVsMuted) {
   EXPECT_EQ(enabled_counts, muted_counts) << "op counts depend on the mute switch";
 }
 
-// The causality observatory end to end (src/perf/critpath.hpp): DAG
-// reconstruction + reference-table pricing + the k-worker forecast are all
-// counts-driven, so a same-seed replay must reproduce the whole critpath
-// bench point — crit report and DAG summary — byte for byte.
+// The causality observatory end to end (src/perf/critpath.hpp), as the audit
+// run records it: DAG reconstruction + reference-table pricing + the k-worker
+// forecast are all counts-driven, so a same-seed replay must reproduce the
+// crit report and the DAG summary byte for byte.
 TEST(DeterminismTest, CritpathPointReplays) {
   expect_replay_identical([] {
-    perf::CritpathOptions opt;
-    opt.n = 4;
-    const perf::CritpathPoint pt = perf::run_critpath_point(opt);
+    const perf::AuditPoint pt = perf::run_audit_point(4);
     return pt.crit_json + "\n" + pt.dag_json;
   });
 }

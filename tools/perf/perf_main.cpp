@@ -1,11 +1,12 @@
 // perf — the performance observatory CLI over src/perf.
 //
 //   perf record [--sweep 4,6,8,12,16] [--json FILE]
-//       Run the online/offline/audit/critpath sweeps and merge the results
-//       into the bench file (default BENCH_comm.json, keys online_comm /
-//       offline_comm / scaling_audit / profile / critpath / meta).  The
-//       profile counts come from the audit runs.  Deterministic: seeded
-//       protocol runs, so two records of the same sweep are byte-identical.
+//       Run the online/offline/audit sweeps and merge the results into the
+//       bench file (default BENCH_comm.json, keys online_comm / offline_comm
+//       / scaling_audit / profile / critpath / meta).  The profile counts
+//       and the critpath analysis come from the audit runs.  Deterministic:
+//       seeded protocol runs, so two records of the same sweep are
+//       byte-identical.
 //   perf check [--json FILE] --baseline FILE
 //       Compare the recorded metrics against a committed baseline; exit
 //       nonzero listing every violated tolerance (bytes +-10%, counts and
@@ -65,7 +66,6 @@ int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path)
   std::vector<perf::OnlinePoint> online;
   std::vector<perf::OfflinePoint> offline;
   std::vector<perf::AuditPoint> audit;
-  std::vector<perf::CritpathPoint> critpath;
   for (unsigned n : sweep) {
     std::printf("recording n=%u: online...", n);
     std::fflush(stdout);
@@ -76,18 +76,13 @@ int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path)
     std::printf(" audit (k=%u)...", perf::audit_packing(n));
     std::fflush(stdout);
     audit.push_back(perf::run_audit_point(n));
-    std::printf(" critpath...");
-    std::fflush(stdout);
-    perf::CritpathOptions copt;
-    copt.n = n;
-    critpath.push_back(perf::run_critpath_point(copt));
     std::printf(" done\n");
   }
   perf::merge_bench_json(json_path, "online_comm", perf::online_comm_json(online));
   perf::merge_bench_json(json_path, "offline_comm", perf::offline_comm_json(offline));
   perf::merge_bench_json(json_path, "scaling_audit", perf::scaling_audit_json(audit));
   perf::merge_bench_json(json_path, "profile", perf::profile_sweep_json(audit));
-  perf::merge_bench_json(json_path, "critpath", perf::critpath_sweep_json(critpath));
+  perf::merge_bench_json(json_path, "critpath", perf::critpath_sweep_json(audit));
   // Self-describing header: which build / obs generation recorded the file.
   perf::merge_bench_json(json_path, "meta", obs::run_metadata_json());
   return 0;

@@ -39,10 +39,12 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "chaos/schedule.hpp"
@@ -57,6 +59,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "perf/critpath.hpp"
+#include "perf/sweep.hpp"
 
 namespace {
 
@@ -528,13 +531,28 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "run" || cmd == "costs" || cmd == "critpath") {
       RunOptions opt;
-      for (int i = 2; i < argc; ++i) {
+      int i = 2;
+      // Numeric flag values go through perf::parse_uint: an empty,
+      // non-numeric or out-of-range token prints usage (exit 2) instead of
+      // running a truncated or zero configuration.
+      auto number = [&](auto& field, std::uint64_t lo) {
+        using T = std::remove_reference_t<decltype(field)>;
+        const char* tok = argv[++i];
+        const auto v = yoso::perf::parse_uint(tok, lo, std::numeric_limits<T>::max());
+        if (v) {
+          field = static_cast<T>(*v);
+        } else {
+          std::fprintf(stderr, "trace: bad value '%s' for %s\n", tok, argv[i - 1]);
+        }
+        return v.has_value();
+      };
+      for (; i < argc; ++i) {
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-          opt.seed = std::strtoull(argv[++i], nullptr, 10);
+          if (!number(opt.seed, 0)) return usage();
         } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-          opt.n = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+          if (!number(opt.n, 1)) return usage();
         } else if (std::strcmp(argv[i], "--width") == 0 && i + 1 < argc) {
-          opt.width = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+          if (!number(opt.width, 1)) return usage();
         } else if (std::strcmp(argv[i], "--degrade") == 0) {
           opt.degrade = true;
         } else if (std::strcmp(argv[i], "--wall") == 0) {
@@ -544,11 +562,11 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
           opt.report = argv[++i];
         } else if (std::strcmp(argv[i], "--silence") == 0 && i + 1 < argc) {
-          opt.silence = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+          if (!number(opt.silence, 0)) return usage();
         } else if (std::strcmp(argv[i], "--churn") == 0 && i + 1 < argc) {
           opt.churn = std::strtod(argv[++i], nullptr);
         } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-          opt.lanes = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+          if (!number(opt.lanes, 0)) return usage();
         } else if (std::strcmp(argv[i], "--perfetto") == 0 && i + 1 < argc) {
           opt.perfetto = argv[++i];
         } else {

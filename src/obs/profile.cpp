@@ -4,12 +4,7 @@
 #include <chrono>
 #include <string_view>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 #include "common/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace yoso::obs {
@@ -27,21 +22,6 @@ std::uint64_t wall_now_ns() {
 // multi-core engine records without synchronization; merge-on-join folds
 // the cells back deterministically (docs/STATIC_ANALYSIS.md).
 thread_local InstrumentCell* tls_cell = nullptr;
-
-// Process peak RSS in bytes; 0 when the platform has no getrusage.
-std::uint64_t peak_rss_bytes() {
-#if defined(__APPLE__)
-  struct rusage ru = {};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-  return static_cast<std::uint64_t>(ru.ru_maxrss);  // bytes on macOS
-#elif defined(__unix__)
-  struct rusage ru = {};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
-#else
-  return 0;
-#endif
-}
 
 constexpr const char* kOpNames[kOpCount] = {
     "ct.powm_sec",           // CtPowmSec
@@ -100,14 +80,6 @@ void InstrumentCell::merge(const InstrumentCell& other) {
       self_ns_[p][o] += other.self_ns_[p][o];
     }
     phase_wall_ns_[p] += other.phase_wall_ns_[p];
-    // Peak RSS is a process-wide high-water mark, not an accumulator: the
-    // max over cells is the max the process saw, a sum would double-count.
-    if (other.mem_peak_bytes_[p] > mem_peak_bytes_[p]) {
-      mem_peak_bytes_[p] = other.mem_peak_bytes_[p];
-    }
-  }
-  for (unsigned o = 0; o < kOpCount; ++o) {
-    for (int b = 0; b < kHistBuckets; ++b) hist_[o][b] += other.hist_[o][b];
   }
 }
 
@@ -118,10 +90,6 @@ void InstrumentCell::reset() {
       self_ns_[p][o] = 0;
     }
     phase_wall_ns_[p] = 0;
-    mem_peak_bytes_[p] = 0;
-  }
-  for (unsigned o = 0; o < kOpCount; ++o) {
-    for (int b = 0; b < kHistBuckets; ++b) hist_[o][b] = 0;
   }
   ctx_ = PhaseCtx::Other;
   open_ = nullptr;
@@ -143,7 +111,7 @@ std::uint64_t InstrumentCell::op_total_self_ns(Op op) const {
   return total;
 }
 
-std::string InstrumentCell::snapshot_json(bool include_wall) const {
+std::string InstrumentCell::snapshot_json() const {
   json::Writer w;
   w.begin_object();
   w.key("ops").begin_object();
@@ -153,47 +121,17 @@ std::string InstrumentCell::snapshot_json(bool include_wall) const {
     if (total == 0) continue;
     w.key(kOpNames[o]).begin_object();
     w.field("count", total);
-    if (include_wall) {
-      w.field("self_us", static_cast<double>(op_total_self_ns(op)) / 1e3);
-    }
     w.key("by_phase").begin_object();
     for (unsigned p = 0; p < kPhaseCtxCount; ++p) {
       if (counts_[p][o] == 0) continue;
       w.key(kPhaseCtxNames[p]).begin_object();
       w.field("count", counts_[p][o]);
-      if (include_wall) {
-        w.field("self_us", static_cast<double>(self_ns_[p][o]) / 1e3);
-      }
       w.end_object();
     }
     w.end_object();
-    if (include_wall) {
-      // Sparse log2 histogram of per-call *total* elapsed ns, matching the
-      // metrics registry's [upper_bound, count] export shape.
-      w.key("hist_ns").begin_array();
-      for (int b = 0; b < kHistBuckets; ++b) {
-        if (hist_[o][b] == 0) continue;
-        w.begin_array().num(Histogram::bucket_max(b)).num(hist_[o][b]).end_array();
-      }
-      w.end_array();
-    }
     w.end_object();
   }
   w.end_object();
-  if (include_wall) {
-    w.key("phase_wall_us").begin_object();
-    for (unsigned p = 0; p < kPhaseCtxCount; ++p) {
-      if (phase_wall_ns_[p] == 0) continue;
-      w.field(kPhaseCtxNames[p], static_cast<double>(phase_wall_ns_[p]) / 1e3);
-    }
-    w.end_object();
-    w.key("mem_peak_bytes").begin_object();
-    for (unsigned p = 0; p < kPhaseCtxCount; ++p) {
-      if (mem_peak_bytes_[p] == 0) continue;
-      w.field(kPhaseCtxNames[p], mem_peak_bytes_[p]);
-    }
-    w.end_object();
-  }
   w.end_object();
   return w.take();
 }
@@ -227,21 +165,18 @@ Profiler& profiler() {
 }
 
 ScopedOpContext::ScopedOpContext(PhaseCtx ctx)
-    : cell_(&profiler().cell()), prev_(cell_->ctx_), ctx_(ctx), wall_start_ns_(0) {
+    : cell_(&profiler().cell()), prev_(cell_->ctx_), ctx_(ctx), phase_start_ns_(0) {
   // Context switching is unconditional so counts attribute identically in
   // muted and enabled runs; only the timing side is gated.
   cell_->ctx_ = ctx;
-  if (enabled()) wall_start_ns_ = wall_now_ns();
+  if (enabled()) phase_start_ns_ = wall_now_ns();
 }
 
 ScopedOpContext::~ScopedOpContext() {
   if (enabled()) {
-    if (wall_start_ns_ != 0) {
-      cell_->phase_wall_ns_[static_cast<unsigned>(ctx_)] += wall_now_ns() - wall_start_ns_;
+    if (phase_start_ns_ != 0) {
+      cell_->phase_wall_ns_[static_cast<unsigned>(ctx_)] += wall_now_ns() - phase_start_ns_;
     }
-    const std::uint64_t rss = peak_rss_bytes();
-    const unsigned pc = static_cast<unsigned>(ctx_);
-    if (rss > cell_->mem_peak_bytes_[pc]) cell_->mem_peak_bytes_[pc] = rss;
     const double vt = tracer().virtual_now();
     if (vt >= 0) profiler().sample_op_tracks(vt);
   }
@@ -264,7 +199,6 @@ OpTimer::~OpTimer() {
   const std::uint64_t elapsed = wall_now_ns() - start_ns_;
   const std::uint64_t self = elapsed > child_ns_ ? elapsed - child_ns_ : 0;
   cell_->self_ns_[static_cast<unsigned>(cell_->ctx_)][static_cast<unsigned>(op_)] += self;
-  cell_->hist_[static_cast<unsigned>(op_)][Histogram::bucket_of(elapsed)] += 1;
   cell_->open_ = parent_;
   if (parent_ != nullptr) parent_->child_ns_ += elapsed;
 }

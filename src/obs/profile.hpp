@@ -1,5 +1,5 @@
-// Hot-path compute profiler: per-primitive counters, self-time accounting
-// and log2 wall-time histograms, recorded into task-local InstrumentCells.
+// Hot-path compute profiler: per-primitive counters and self-time
+// accounting, recorded into task-local InstrumentCells.
 //
 // Where the metrics registry (obs/metrics.hpp) answers "what happened on
 // the board", the profiler answers "where did the CPU go": every crypto
@@ -15,10 +15,9 @@
 //     seeded run, ride into run reports / BENCH files, and must be
 //     byte-identical across replays and identical between enabled and
 //     muted runs (tests/determinism_test.cpp asserts both);
-//   * op TIMINGS (self-ns, histograms, phase wall) are machine-dependent
-//     and therefore muted by obs::set_enabled(false); exports keep them
-//     out of deterministic documents unless explicitly asked
-//     (include_wall, mirroring the tracer's --wall).
+//   * op TIMINGS (self-ns, phase wall) are machine-dependent and therefore
+//     muted by obs::set_enabled(false).  No export carries them: they are
+//     read through the accessors only (bench/e2e, `trace costs`).
 //
 // Task-local cells: a worker task installs its own cell with ScopedCell at
 // spawn and the owner merges it back with InstrumentCell::merge on join.
@@ -84,16 +83,14 @@ class OpTimer;
 // merge() on join.
 class InstrumentCell {
 public:
-  static constexpr int kHistBuckets = 65;  // log2: bucket 0 = {0}, b = [2^(b-1), 2^b)
-
   // Always records (determinism contract above); attribution is the cell's
   // current phase context.
   void count(Op op, std::uint64_t delta = 1) {
     counts_[static_cast<unsigned>(ctx_)][static_cast<unsigned>(op)] += delta;
   }
 
-  // Elementwise sum of counts, self-times, histograms and phase wall —
-  // commutative + associative, so join order cannot change the result.
+  // Elementwise sum of counts, self-times and phase wall — commutative +
+  // associative, so join order cannot change the result.
   // Live state (current context, open timer chain) is not merged.
   void merge(const InstrumentCell& other);
 
@@ -107,24 +104,14 @@ public:
     return self_ns_[static_cast<unsigned>(ctx)][static_cast<unsigned>(op)];
   }
   std::uint64_t op_total_self_ns(Op op) const;
-  std::uint64_t hist_bucket(Op op, int bucket) const {
-    return hist_[static_cast<unsigned>(op)][bucket];
-  }
   std::uint64_t phase_wall_ns(PhaseCtx ctx) const {
     return phase_wall_ns_[static_cast<unsigned>(ctx)];
   }
-  // Peak RSS observed while this phase context was active (getrusage, sampled
-  // at context boundaries).  Timing-gated like wall: machine-dependent, so it
-  // never enters the deterministic exports.
-  std::uint64_t mem_peak_bytes(PhaseCtx ctx) const {
-    return mem_peak_bytes_[static_cast<unsigned>(ctx)];
-  }
   PhaseCtx context() const { return ctx_; }
 
-  // {"ops":{"<name>":{"count":...,"by_phase":{...}}},...} through the
-  // json::Writer funnel; deterministic unless include_wall adds the
-  // machine-dependent self_us / hist fields.  Op names sorted.
-  std::string snapshot_json(bool include_wall = false) const;
+  // {"ops":{"<name>":{"count":...,"by_phase":{...}}}} through the
+  // json::Writer funnel: counts only, so deterministic.  Op names sorted.
+  std::string snapshot_json() const;
 
 private:
   friend class OpTimer;
@@ -132,9 +119,7 @@ private:
 
   std::uint64_t counts_[kPhaseCtxCount][kOpCount] = {};
   std::uint64_t self_ns_[kPhaseCtxCount][kOpCount] = {};
-  std::uint64_t hist_[kOpCount][kHistBuckets] = {};
   std::uint64_t phase_wall_ns_[kPhaseCtxCount] = {};
-  std::uint64_t mem_peak_bytes_[kPhaseCtxCount] = {};  // merged via max, not sum
 
   // Live (unmerged) state: current phase attribution and the innermost open
   // timer, for self-time = elapsed - time spent in nested profiled ops.
@@ -174,11 +159,6 @@ public:
   // current task's cell.  Called by ScopedOpContext at phase boundaries.
   void sample_op_tracks(double t);
   const std::vector<OpTrackSample>& op_track_samples() const { return track_; }
-
-  // Convenience over snapshot().snapshot_json().
-  std::string op_costs_json(bool include_wall = false) const {
-    return root_.snapshot_json(include_wall);
-  }
 
 private:
   InstrumentCell root_;
@@ -227,12 +207,11 @@ private:
   InstrumentCell* cell_;
   PhaseCtx prev_;
   PhaseCtx ctx_;
-  std::uint64_t wall_start_ns_;
+  std::uint64_t phase_start_ns_;
 };
 
-// RAII per-op timer: counts on construction semantics are recorded on
-// destruction — count `delta`, total elapsed into the op's log2 histogram,
-// and elapsed minus nested-profiled-op time into self-ns.  Muted runs skip
+// RAII per-op timer: counts `delta` on construction and, on destruction,
+// adds elapsed minus nested-profiled-op time to self-ns.  Muted runs skip
 // the clock reads but still count.
 class OpTimer {
 public:

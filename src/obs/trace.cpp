@@ -1,24 +1,11 @@
 #include "obs/trace.hpp"
 
-#include <chrono>
-
 #include "common/json.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "obs/timeseries.hpp"
 
 namespace yoso::obs {
-
-namespace {
-
-std::uint64_t wall_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 Tracer::Tracer() {
   spans_.reserve(1024);
@@ -55,7 +42,6 @@ std::uint32_t Tracer::begin_span(std::string name, std::string cat) {
   rec.name = std::move(name);
   rec.cat = std::move(cat);
   if (vclock_) rec.virt_start = vclock_();
-  rec.wall_start_ns = wall_now_ns();
   spans_.push_back(std::move(rec));
   open_.push_back(spans_.back().id);
   return spans_.back().id;
@@ -68,7 +54,6 @@ void Tracer::end_span(std::uint32_t id) {
   if (!rec.open) return;
   rec.open = false;
   if (vclock_) rec.virt_end = vclock_();
-  rec.wall_end_ns = wall_now_ns();
   // Unwind the open stack down to (and including) this span; exceptions may
   // close an outer span while an inner one is still marked open.
   while (!open_.empty()) {
@@ -79,7 +64,6 @@ void Tracer::end_span(std::uint32_t id) {
     if (inner.open) {
       inner.open = false;
       inner.virt_end = rec.virt_end;
-      inner.wall_end_ns = rec.wall_end_ns;
     }
   }
 }
@@ -96,7 +80,7 @@ void Tracer::attr_num(std::uint32_t id, std::string key, std::int64_t value) {
   spans_[id - 1].attrs.push_back(SpanAttr{std::move(key), std::to_string(value), true});
 }
 
-std::string Tracer::chrome_trace_json(bool include_wall) const {
+std::string Tracer::chrome_trace_json() const {
   MutexLock lock(&mu_);
   json::Writer w;
   w.begin_object();
@@ -112,23 +96,10 @@ std::string Tracer::chrome_trace_json(bool include_wall) const {
   w.key("args").begin_object().field("name", "yoso-mpc").end_object();
   w.end_object();
 
-  // Wall epoch: the first span's start, so wall ts stay small and relative.
-  std::uint64_t wall_epoch = 0;
-  for (const SpanRecord& s : spans_) {
-    if (wall_epoch == 0 || (s.wall_start_ns != 0 && s.wall_start_ns < wall_epoch)) {
-      wall_epoch = s.wall_start_ns;
-    }
-  }
-
   for (const SpanRecord& s : spans_) {
     const bool has_virt = s.virt_start >= 0;
-    const double ts_us = has_virt
-                             ? s.virt_start * 1e6
-                             : static_cast<double>(s.wall_start_ns - wall_epoch) / 1e3;
-    const std::uint64_t wall_end = s.open ? s.wall_start_ns : s.wall_end_ns;
-    const double dur_us =
-        has_virt ? (s.open ? 0.0 : (s.virt_end - s.virt_start) * 1e6)
-                 : static_cast<double>(wall_end - s.wall_start_ns) / 1e3;
+    const double ts_us = has_virt ? s.virt_start * 1e6 : 0.0;
+    const double dur_us = has_virt && !s.open ? (s.virt_end - s.virt_start) * 1e6 : 0.0;
     w.begin_object();
     w.field("ph", "X").field("pid", 1).field("tid", 1);
     w.field("name", s.name).field("cat", s.cat);
@@ -141,10 +112,6 @@ std::string Tracer::chrome_trace_json(bool include_wall) const {
       } else {
         w.field(a.key, a.value);
       }
-    }
-    if (include_wall) {
-      w.key("wall_start_us").num(static_cast<double>(s.wall_start_ns - wall_epoch) / 1e3);
-      w.key("wall_dur_us").num(static_cast<double>(wall_end - s.wall_start_ns) / 1e3);
     }
     w.end_object();
     w.end_object();
@@ -167,9 +134,7 @@ std::string Tracer::chrome_trace_json(bool include_wall) const {
 
   // Op-granularity counter tracks from the compute profiler: cumulative
   // per-primitive counts sampled at phase boundaries (deterministic — both
-  // the counts and the virtual clock are), plus, when wall timings are
-  // requested, one final self-µs sample per op so Perfetto shows where the
-  // CPU went next to where the bytes went.
+  // the counts and the virtual clock are).
   for (const OpTrackSample& s : profiler().op_track_samples()) {
     w.begin_object();
     w.field("ph", "C").field("pid", 1).field("tid", 1);
@@ -179,41 +144,6 @@ std::string Tracer::chrome_trace_json(bool include_wall) const {
     w.key("value").num(static_cast<double>(s.value));
     w.end_object();
     w.end_object();
-  }
-  if (include_wall) {
-    const InstrumentCell cell = profiler().snapshot();
-    double last_ts = 0;
-    for (const OpTrackSample& s : profiler().op_track_samples()) {
-      if (s.t * 1e6 > last_ts) last_ts = s.t * 1e6;
-    }
-    for (unsigned o = 0; o < kOpCount; ++o) {
-      const Op op = static_cast<Op>(o);
-      const std::uint64_t self_ns = cell.op_total_self_ns(op);
-      if (self_ns == 0) continue;
-      w.begin_object();
-      w.field("ph", "C").field("pid", 1).field("tid", 1);
-      w.field("name", std::string("op.self_us.") + op_name(op));
-      w.key("ts").num(last_ts);
-      w.key("args").begin_object();
-      w.key("value").num(static_cast<double>(self_ns) / 1e3);
-      w.end_object();
-      w.end_object();
-    }
-    // Per-phase peak-RSS gauges, same timing gate as self-times (getrusage
-    // is machine-dependent, so it stays out of deterministic exports).
-    for (unsigned p = 0; p < kPhaseCtxCount; ++p) {
-      const PhaseCtx ctx = static_cast<PhaseCtx>(p);
-      const std::uint64_t peak = cell.mem_peak_bytes(ctx);
-      if (peak == 0) continue;
-      w.begin_object();
-      w.field("ph", "C").field("pid", 1).field("tid", 1);
-      w.field("name", std::string("mem.peak_bytes.") + phase_ctx_name(ctx));
-      w.key("ts").num(last_ts);
-      w.key("args").begin_object();
-      w.key("value").num(static_cast<double>(peak));
-      w.end_object();
-      w.end_object();
-    }
   }
 
   w.end_array();

@@ -1,13 +1,12 @@
 // Span tracer: RAII scoped spans over the whole protocol stack.
 //
 // Spans nest (parent = innermost open span), carry key/value attributes
-// (committee id, gate label, phase, party role), and record *dual*
-// timestamps:
-//   * virtual seconds from the discrete-event clock, whenever a
-//     net::NetBulletin is attached (attach_virtual_clock) — deterministic,
-//     so two identical runs export bit-for-bit identical traces;
-//   * monotonic wall-clock nanoseconds, always — for profiling real CPU
-//     cost (excluded from the export by default to keep it deterministic).
+// (committee id, gate label, phase, party role), and are stamped in
+// virtual seconds from the discrete-event clock whenever one is attached
+// (attach_virtual_clock: a net::NetBulletin, the service loop or the
+// triple pool).  No wall clock is read, so two identical runs export
+// bit-for-bit identical traces; CPU time is the profiler's business
+// (obs/profile.hpp).
 //
 // The export is Chrome trace-event JSON ("X" complete events), which loads
 // directly in Perfetto / chrome://tracing; tools/trace wraps it in a CLI
@@ -46,8 +45,6 @@ struct SpanRecord {
   std::string cat;
   double virt_start = -1;  // seconds; -1 when no virtual clock was attached
   double virt_end = -1;
-  std::uint64_t wall_start_ns = 0;
-  std::uint64_t wall_end_ns = 0;
   std::vector<SpanAttr> attrs;
 };
 
@@ -89,10 +86,10 @@ public:
     return open_.size();
   }
 
-  // Chrome trace-event JSON.  With include_wall the wall-clock timings ride
-  // along as args (making the bytes machine-dependent); without it the
-  // export is a pure function of the virtual clock.
-  std::string chrome_trace_json(bool include_wall = false) const;
+  // Chrome trace-event JSON, a pure function of the recorded spans and the
+  // virtual clock.  A span recorded with no clock attached exports at
+  // ts = dur = 0.
+  std::string chrome_trace_json() const;
 
 private:
   // The tracer is a process-wide singleton the multi-core engine's workers

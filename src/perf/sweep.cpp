@@ -25,6 +25,17 @@ std::optional<std::uint64_t> parse_uint(std::string_view tok, std::uint64_t lo,
   return v;
 }
 
+std::optional<double> parse_prob(std::string_view tok) {
+  double v = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  // The range test also rejects NaN (every comparison is false) and inf.
+  if (tok.empty() || ec != std::errc() || ptr != end || !(v >= 0.0 && v <= 1.0)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
 std::vector<unsigned> parse_sweep(const std::string& arg) {
   std::vector<unsigned> ns;
   std::size_t pos = 0;
@@ -174,7 +185,7 @@ AuditPoint run_audit_point(unsigned n) {
   pt.cdn_mult_bytes = category_bytes(cdn.ledger(), Phase::Online, "cdn.mult.pdec");
   pt.cdn_report = cdn.ledger().report_json();
 
-  pt.counts_json = obs::profiler().snapshot().snapshot_json(false);
+  pt.counts_json = obs::profiler().snapshot().snapshot_json();
   return pt;
 }
 

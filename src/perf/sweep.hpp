@@ -8,11 +8,12 @@
 //
 // The *audit* sweep is the controlled regime the scaling fitter consumes.
 // ProtocolParams::for_gap lets the packing factor k drift sublinearly at
-// small n (k = 1, 2, 2, 3, 4 over n = 4..16), which contaminates the
-// online per-gate exponent with a spurious n/k trend; the audit regime
-// pins k = max(1, (n+2)/4) so n/k stays (near) constant and the fitted
-// slope measures the per-gate cost law itself.  Seeds 9300/9400 + n keep
-// the audit runs distinct from the headline benches.
+// small n (k = 2, 2, 3, 4, 5 over n = 4, 6, 8, 12, 16, the k column of
+// bench_online_comm), which contaminates the online per-gate exponent
+// with a spurious n/k trend; the audit regime pins k = max(1, (n+2)/4)
+// (k = 1, 2, 2, 3, 4 over the same n) so n/k stays (near) constant and
+// the fitted slope measures the per-gate cost law itself.  Seeds
+// 9300/9400 + n keep the audit runs distinct from the headline benches.
 //
 // One audit run yields every audit-derived key.  run_audit_point() resets
 // the op profiler, runs ours over a net::NetBulletin and the CDN baseline
@@ -28,6 +29,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -42,6 +45,26 @@ namespace yoso::perf {
 // CLI can print its usage before any run starts.
 std::optional<std::uint64_t> parse_uint(std::string_view tok, std::uint64_t lo = 0,
                                         std::uint64_t hi = UINT64_MAX);
+
+// CLI glue over parse_uint: parses `tok`, the value of `flag`, into `field`
+// within [lo, max of T].  On a bad value prints "<tool>: bad value 'tok' for
+// flag" and returns false; the caller then prints usage and exits 2.
+template <typename T>
+bool parse_uint_flag(const char* tool, const char* flag, const char* tok, std::uint64_t lo,
+                     T& field) {
+  const auto v = parse_uint(tok, lo, std::numeric_limits<T>::max());
+  if (!v) {
+    std::fprintf(stderr, "%s: bad value '%s' for %s\n", tool, tok, flag);
+    return false;
+  }
+  field = static_cast<T>(*v);
+  return true;
+}
+
+// Parses one probability CLI token: a finite decimal in [0, 1].  Empty,
+// non-numeric, trailing-garbage, NaN, infinite and out-of-range tokens
+// yield nullopt.
+std::optional<double> parse_prob(std::string_view tok);
 
 // Parses a --sweep list ("4,8,12") token by token with parse_uint.  Throws
 // std::invalid_argument on an empty list or any empty, non-numeric or zero

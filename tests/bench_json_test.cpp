@@ -178,9 +178,9 @@ TEST(ParseSweep, AcceptsListsAndRejectsBadTokens) {
   EXPECT_THROW(perf::parse_sweep("4294967296"), std::invalid_argument);
 }
 
-// The token parser under parse_sweep and trace's numeric flags (--n,
-// --width, --seed, --silence, --lanes); a nullopt makes the CLI print usage
-// and exit 2 instead of running with a silently truncated value.
+// The token parser under parse_sweep and the numeric flags of trace, chaos
+// and service; a nullopt makes the CLI print usage and exit 2 instead of
+// running with a silently truncated value.
 TEST(ParseSweep, ParseUintAcceptsDigitsWithinRange) {
   EXPECT_EQ(perf::parse_uint("0"), 0u);
   EXPECT_EQ(perf::parse_uint("42"), 42u);
@@ -192,6 +192,20 @@ TEST(ParseSweep, ParseUintAcceptsDigitsWithinRange) {
   }
   EXPECT_EQ(perf::parse_uint("0", 1), std::nullopt);
   EXPECT_EQ(perf::parse_uint("4294967296", 0, UINT32_MAX), std::nullopt);
+}
+
+// The probability parser behind trace's --churn: a finite decimal in [0, 1],
+// nothing else, so a typo cannot silently mean "no churn".
+TEST(ParseSweep, ParseProbAcceptsFiniteDecimalsInUnitInterval) {
+  EXPECT_EQ(perf::parse_prob("0"), 0.0);
+  EXPECT_EQ(perf::parse_prob("1"), 1.0);
+  EXPECT_EQ(perf::parse_prob("0.1"), 0.1);
+  EXPECT_EQ(perf::parse_prob("1.0"), 1.0);
+  EXPECT_EQ(perf::parse_prob(".25"), 0.25);
+  for (const char* bad : {"", "abc", "0.1x", " 0.1", "0.1 ", "-0.5", "1.5", "1.0000001", "nan",
+                          "NaN", "inf", "-inf", "+0.5", "0x0.8", "1e400"}) {
+    EXPECT_EQ(perf::parse_prob(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST(DeterminismTest, OpCountsIdenticalEnabledVsMuted) {
     auto inputs = seeded_inputs(c, 4242);
     YosoMpc mpc(params, c, AdversaryPlan::honest(params.n), 4242);
     (void)mpc.run(inputs);
-    return obs::profiler().op_costs_json(false);
+    return obs::profiler().snapshot().snapshot_json();
   };
   obs::set_enabled(true);
   const std::string enabled_counts = replay(body);

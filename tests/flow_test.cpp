@@ -316,7 +316,7 @@ TEST(TimeSeries, SeriesBecomeCounterTracksInChromeTrace) {
     obs::Span span("covering", "test");
     reg.series("test.counter").sample(0.25, 42.0);
   }
-  const std::string trace = obs::tracer().chrome_trace_json(false);
+  const std::string trace = obs::tracer().chrome_trace_json();
   EXPECT_NE(trace.find(R"("ph":"C")"), std::string::npos);
   EXPECT_NE(trace.find("test.counter"), std::string::npos);
   std::string error;

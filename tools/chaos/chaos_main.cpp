@@ -28,6 +28,7 @@
 
 #include "chaos/campaign.hpp"
 #include "chaos/minimize.hpp"
+#include "perf/sweep.hpp"
 
 namespace {
 
@@ -56,12 +57,19 @@ struct Options {
   std::string json;
 };
 
+// Numeric values go through perf::parse_uint, so a typo prints usage
+// instead of running seed 0 or zero schedules (a vacuous pass).
 bool parse(int argc, char** argv, Options& opt) {
-  for (int i = 2; i < argc; ++i) {
+  int i = 2;
+  auto number = [&](auto& field, std::uint64_t lo) {
+    ++i;
+    return yoso::perf::parse_uint_flag("chaos", argv[i - 1], argv[i], lo, field);
+  };
+  for (; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(opt.seed, 0)) return false;
     } else if (std::strcmp(argv[i], "--count") == 0 && i + 1 < argc) {
-      opt.count = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(opt.count, 1)) return false;
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
       opt.verbose = true;
     } else if (std::strcmp(argv[i], "--violation") == 0) {

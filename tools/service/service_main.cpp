@@ -16,6 +16,7 @@
 #include <string>
 
 #include "common/json.hpp"
+#include "perf/sweep.hpp"
 #include "service/service.hpp"
 #include "service/workloads.hpp"
 
@@ -43,21 +44,28 @@ struct Options {
   std::uint64_t seed = 2025;
 };
 
+// Numeric values go through perf::parse_uint, so a typo prints usage
+// instead of running a truncated or zero load.
 bool parse(int argc, char** argv, Options& opt) {
-  for (int i = 2; i < argc; ++i) {
+  int i = 2;
+  auto number = [&](auto& field, std::uint64_t lo) {
+    ++i;
+    return yoso::perf::parse_uint_flag("service", argv[i - 1], argv[i], lo, field);
+  };
+  for (; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-      opt.sessions = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(opt.sessions, 1)) return false;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      opt.batch = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(opt.batch, 1)) return false;
     } else if (std::strcmp(argv[i], "--gateways") == 0 && i + 1 < argc) {
-      opt.gateways = static_cast<unsigned>(std::strtoull(argv[++i], nullptr, 10));
+      if (!number(opt.gateways, 1)) return false;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(opt.seed, 0)) return false;
     } else {
       return false;
     }
   }
-  return opt.sessions > 0 && opt.batch > 0 && opt.gateways > 0;
+  return true;
 }
 
 struct LoadResult {

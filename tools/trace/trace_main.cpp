@@ -1,18 +1,18 @@
 // trace — the observability CLI over src/obs.
 //
-//   trace run [--seed S] [--n N] [--width W] [--degrade] [--wall]
+//   trace run [--seed S] [--n N] [--width W] [--degrade]
 //             [--silence R] [--churn P] [--out FILE] [--report FILE]
 //       Run YosoMpc over a NetBulletin with tracing on; write the Chrome
 //       trace-event JSON (stdout or --out) and, with --report, the unified
 //       run report (board + metrics [+ failure]).  Deterministic: the same
-//       seed yields byte-identical traces (unless --wall).
+//       seed yields byte-identical traces and reports.
 //   trace check [FILE]
 //       Validate a trace document (stdin when FILE is absent); exit nonzero
 //       on schema violations.
 //   trace summarize [FILE]
 //       Per-span-name table (count, total/mean duration, category), the
 //       top-5 most expensive spans, and — when the trace carries op.count.*
-//       counter tracks — a per-primitive count/total-µs table.
+//       counter tracks — a per-primitive count table.
 //   trace diff A B
 //       Compare two traces by span name (count and total-duration deltas)
 //       and by per-primitive op counts; exit nonzero when either differs.
@@ -39,12 +39,10 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "chaos/schedule.hpp"
@@ -67,7 +65,7 @@ using yoso::chaos::FaultSchedule;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: trace run [--seed S] [--n N] [--width W] [--degrade] [--wall]\n"
+               "usage: trace run [--seed S] [--n N] [--width W] [--degrade]\n"
                "                 [--silence R] [--churn P] [--out FILE] [--report FILE]\n"
                "       trace check [FILE]\n"
                "       trace summarize [FILE]\n"
@@ -117,7 +115,6 @@ struct RunOptions {
   unsigned n = 6;
   unsigned width = 2;
   bool degrade = false;
-  bool wall = false;
   std::string out;
   std::string report;
   unsigned silence = 0;    // fail-stop roles per committee
@@ -185,7 +182,7 @@ int cmd_run(const RunOptions& opt) {
   std::optional<yoso::FailureReport> failure;
   int status = run_traced(opt, boards, failure);
 
-  const std::string trace = yoso::obs::tracer().chrome_trace_json(opt.wall);
+  const std::string trace = yoso::obs::tracer().chrome_trace_json();
   if (!write_output(opt.out, trace)) {
     std::fprintf(stderr, "trace run: cannot write %s\n", opt.out.c_str());
     return 1;
@@ -351,47 +348,20 @@ std::map<std::string, NameStats> aggregate(const yoso::json::Value& doc) {
   return by_name;
 }
 
-// Final values of the profiler's op.count.* / op.self_us.* counter tracks.
+// Final values of the profiler's op.count.* counter tracks, name -> count.
 // The samples are cumulative and time-ordered per op, so "final" = last.
-struct OpStats {
-  double count = 0;
-  double self_us = -1;  // -1: trace carried no self-time track for this op
-};
-
-std::map<std::string, OpStats> aggregate_ops(const yoso::json::Value& doc) {
-  std::map<std::string, OpStats> ops;
+std::map<std::string, double> aggregate_ops(const yoso::json::Value& doc) {
+  std::map<std::string, double> ops;
   const yoso::json::Value* events = doc.find("traceEvents");
   if (events == nullptr) return ops;
   for (const auto& ev : events->items) {
     if (ev.str_or("ph", "") != "C") continue;
     const std::string name = ev.str_or("name", "");
+    if (name.rfind("op.count.", 0) != 0) continue;
     const yoso::json::Value* args = ev.find("args");
-    const double value = args == nullptr ? 0 : args->num_or("value", 0);
-    if (name.rfind("op.count.", 0) == 0) {
-      ops[name.substr(9)].count = value;
-    } else if (name.rfind("op.self_us.", 0) == 0) {
-      ops[name.substr(11)].self_us = value;
-    }
+    ops[name.substr(9)] = args == nullptr ? 0 : args->num_or("value", 0);
   }
   return ops;
-}
-
-// Final per-phase "mem.peak_bytes.<phase>" gauge values (only present in
-// traces captured with --wall); empty map otherwise.
-std::map<std::string, double> aggregate_mem(const yoso::json::Value& doc) {
-  std::map<std::string, double> mem;
-  const yoso::json::Value* events = doc.find("traceEvents");
-  if (events == nullptr) return mem;
-  for (const auto& ev : events->items) {
-    if (ev.str_or("ph", "") != "C") continue;
-    const std::string name = ev.str_or("name", "");
-    if (name.rfind("mem.peak_bytes.", 0) != 0) continue;
-    const yoso::json::Value* args = ev.find("args");
-    const double value = args == nullptr ? 0 : args->num_or("value", 0);
-    double& slot = mem[name.substr(15)];
-    if (value > slot) slot = value;
-  }
-  return mem;
 }
 
 int cmd_summarize(const std::string& path) {
@@ -419,30 +389,8 @@ int cmd_summarize(const std::string& path) {
 
   const auto ops = aggregate_ops(doc);
   if (!ops.empty()) {
-    bool any_us = false;
-    for (const auto& [name, s] : ops) any_us = any_us || s.self_us >= 0;
-    std::printf("\n%-24s %12s", "primitive", "count");
-    if (any_us) std::printf(" %14s", "total_us");
-    std::printf("\n");
-    for (const auto& [name, s] : ops) {
-      std::printf("%-24s %12.0f", name.c_str(), s.count);
-      if (any_us) {
-        if (s.self_us >= 0) {
-          std::printf(" %14.1f", s.self_us);
-        } else {
-          std::printf(" %14s", "-");
-        }
-      }
-      std::printf("\n");
-    }
-  }
-
-  const auto mem = aggregate_mem(doc);
-  if (!mem.empty()) {
-    std::printf("\n%-24s %14s\n", "phase", "mem_peak_mib");
-    for (const auto& [phase, bytes] : mem) {
-      std::printf("%-24s %14.1f\n", phase.c_str(), bytes / (1024.0 * 1024.0));
-    }
+    std::printf("\n%-24s %12s\n", "primitive", "count");
+    for (const auto& [name, count] : ops) std::printf("%-24s %12.0f\n", name.c_str(), count);
   }
   return 0;
 }
@@ -486,8 +434,8 @@ int cmd_diff(const std::string& a_path, const std::string& b_path) {
   const auto ob = aggregate_ops(doc_b);
   if (!oa.empty() || !ob.empty()) {
     std::map<std::string, std::pair<double, double>> op_merged;
-    for (const auto& [name, s] : oa) op_merged[name].first = s.count;
-    for (const auto& [name, s] : ob) op_merged[name].second = s.count;
+    for (const auto& [name, count] : oa) op_merged[name].first = count;
+    for (const auto& [name, count] : ob) op_merged[name].second = count;
     std::printf("\n%-24s %12s %12s %12s\n", "primitive", "count_a", "count_b", "delta");
     for (const auto& [name, pair] : op_merged) {
       if (pair.first != pair.second) differs = true;
@@ -532,19 +480,13 @@ int main(int argc, char** argv) {
     if (cmd == "run" || cmd == "costs" || cmd == "critpath") {
       RunOptions opt;
       int i = 2;
-      // Numeric flag values go through perf::parse_uint: an empty,
-      // non-numeric or out-of-range token prints usage (exit 2) instead of
-      // running a truncated or zero configuration.
+      // Numeric flag values go through perf::parse_uint (--churn through
+      // perf::parse_prob): an empty, non-numeric or out-of-range token
+      // prints usage (exit 2) instead of running a truncated or zero
+      // configuration.
       auto number = [&](auto& field, std::uint64_t lo) {
-        using T = std::remove_reference_t<decltype(field)>;
-        const char* tok = argv[++i];
-        const auto v = yoso::perf::parse_uint(tok, lo, std::numeric_limits<T>::max());
-        if (v) {
-          field = static_cast<T>(*v);
-        } else {
-          std::fprintf(stderr, "trace: bad value '%s' for %s\n", tok, argv[i - 1]);
-        }
-        return v.has_value();
+        ++i;
+        return yoso::perf::parse_uint_flag("trace", argv[i - 1], argv[i], lo, field);
       };
       for (; i < argc; ++i) {
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
@@ -555,8 +497,6 @@ int main(int argc, char** argv) {
           if (!number(opt.width, 1)) return usage();
         } else if (std::strcmp(argv[i], "--degrade") == 0) {
           opt.degrade = true;
-        } else if (std::strcmp(argv[i], "--wall") == 0) {
-          opt.wall = true;
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
           opt.out = argv[++i];
         } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
@@ -564,7 +504,13 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--silence") == 0 && i + 1 < argc) {
           if (!number(opt.silence, 0)) return usage();
         } else if (std::strcmp(argv[i], "--churn") == 0 && i + 1 < argc) {
-          opt.churn = std::strtod(argv[++i], nullptr);
+          const char* tok = argv[++i];
+          const auto p = yoso::perf::parse_prob(tok);
+          if (!p) {
+            std::fprintf(stderr, "trace: bad value '%s' for --churn\n", tok);
+            return usage();
+          }
+          opt.churn = *p;
         } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
           if (!number(opt.lanes, 0)) return usage();
         } else if (std::strcmp(argv[i], "--perfetto") == 0 && i + 1 < argc) {

@@ -1,20 +1,12 @@
 #include "perf/audit.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 namespace yoso::perf {
 
 namespace {
-
-struct AuditRow {
-  double n = 0;
-  double k = 0;
-  double gates = 0;
-  double ours_mult_bytes = 0, ours_mult_elems = 0;
-  double cdn_mult_bytes = 0, cdn_mult_elems = 0;
-  double offline_bytes = 0;
-};
 
 const json::Value* descend(const json::Value* v, std::initializer_list<const char*> path) {
   for (const char* key : path) {
@@ -39,11 +31,12 @@ AuditReport audit_scaling(const json::Value& bench) {
     return report;
   }
 
-  std::vector<AuditRow> rows;
+  std::vector<AuditRow>& rows = report.rows;
   for (const auto& [key, point] : audit->members) {
     if (key.size() < 2 || key[0] != 'n') continue;
     AuditRow row;
     row.n = std::strtod(key.c_str() + 1, nullptr);
+    row.t = point.num_or("t", 0);
     row.k = point.num_or("k", 0);
     row.gates = point.num_or("gates", 0);
     if (row.n <= 0 || row.gates <= 0) continue;
@@ -54,6 +47,8 @@ AuditReport audit_scaling(const json::Value& bench) {
     row.cdn_mult_elems =
         leaf(&point, {"cdn", "online", "categories", "cdn.mult.pdec"}, "elements");
     row.offline_bytes = leaf(&point, {"ours", "offline", "total"}, "bytes");
+    row.offline_elems = leaf(&point, {"ours", "offline", "total"}, "elements");
+    if (row.k > 0) row.naive_elems = 3 * row.n * row.n * std::ceil(row.gates / row.k);
     rows.push_back(row);
   }
   std::sort(rows.begin(), rows.end(), [](const AuditRow& a, const AuditRow& b) {
@@ -79,9 +74,19 @@ AuditReport audit_scaling(const json::Value& bench) {
                                               ours_offline, {0.85, 1.75}));
 
   const AuditRow& last = rows.back();
-  report.speedup = obs::derive_packed_speedup(
-      1000, 0.05, last.ours_mult_elems / last.gates, last.cdn_mult_elems / last.gates,
-      static_cast<unsigned>(last.n), static_cast<unsigned>(last.k));
+  std::string last_key = "n";  // not "n" + to_string: GCC 12 -O2 trips -Werror=restrict
+  last_key += std::to_string(static_cast<unsigned>(last.n));
+  const json::Value* categories =
+      descend(audit->find(last_key), {"ours", "offline", "categories"});
+  if (categories != nullptr) report.offline_categories = *categories;
+  for (double C : {1000.0, 20000.0}) {
+    for (double f : {0.05, 0.20}) {
+      report.projections.push_back(obs::derive_packed_speedup(
+          C, f, last.ours_mult_elems / last.gates, last.cdn_mult_elems / last.gates,
+          static_cast<unsigned>(last.n), static_cast<unsigned>(last.k)));
+    }
+  }
+  report.speedup = report.projections.front();
 
   report.pass = report.speedup.feasible && report.speedup.speedup >= report.speedup_floor;
   for (const obs::ExponentCheck& check : report.checks) {

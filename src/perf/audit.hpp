@@ -12,7 +12,12 @@
 // over Theta(n) gates, so the measured exponent sits above 1 and tightens
 // as n grows.)  The audit also re-derives the paper's headline speedup at
 // C = 1000, f = 0.05 from the measured per-element coefficients of the
-// largest point and requires it to clear the paper's 28x floor.
+// largest point and requires it to clear the paper's 28x floor; the other
+// paper-scale cells (C in {1000, 20000} x f in {0.05, 0.20}) are projected
+// the same way but not gated.
+//
+// The parsed rows are the E3 (online) and E4 (offline) tables: perf audit
+// prints them, so the communication claims have one record, the audit run.
 #pragma once
 
 #include <string>
@@ -24,8 +29,30 @@
 
 namespace yoso::perf {
 
+// One recorded audit point, read back from its two ledgers.  Totals are
+// elements/bytes over the whole circuit; divide by `gates` for per-gate.
+struct AuditRow {
+  double n = 0, t = 0, k = 0;
+  double gates = 0;
+  double ours_mult_bytes = 0, ours_mult_elems = 0;  // online.mult category
+  double cdn_mult_bytes = 0, cdn_mult_elems = 0;    // cdn.mult.pdec category
+  double offline_bytes = 0, offline_elems = 0;      // ours' offline phase total
+  // Analytic cost of the naive variant the paper warns about (packed shares
+  // left under tpk, Section 3.4): n partials for each of the 3 packed shares
+  // per role per batch.  The audit circuit is one layer: ceil(gates/k)
+  // batches.
+  double naive_elems = 0;
+};
+
 struct AuditReport {
+  std::vector<AuditRow> rows;  // sorted by n
+  // Ours' offline ledger categories at the largest n (the E4 breakdown).
+  json::Value offline_categories;
   std::vector<obs::ExponentCheck> checks;
+  // Paper-scale projections from the largest row, C-major over
+  // {1000, 20000} x {0.05, 0.20}; `speedup` is the gated C = 1000, f = 0.05
+  // cell.
+  std::vector<obs::SpeedupDerivation> projections;
   obs::SpeedupDerivation speedup;
   double speedup_floor = 28.0;  // the paper's headline ratio
   // Forecast-curve checks over the "critpath" key (perf/critpath.hpp):

@@ -2,7 +2,7 @@
 //
 // A baseline is a flat {"metric.path": number} object committed under
 // bench/baselines/.  Metrics are the numeric leaves of the recorded bench
-// keys (online_comm / offline_comm / scaling_audit / profile / critpath),
+// keys (scaling_audit / profile / critpath),
 // flattened by joining member names with '.'; per-category ledger
 // breakdowns and per-phase op splits are skipped so a baseline stays
 // reviewable while still pinning every phase total and op total.

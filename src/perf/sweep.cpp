@@ -52,7 +52,7 @@ std::vector<unsigned> parse_sweep(const std::string& arg) {
   return ns;
 }
 
-// Same input derivation as the standalone benches: Rng seeded with n.
+// Rng seeded with n: the input derivation every sweep point shares.
 std::vector<std::vector<mpz_class>> make_inputs(const Circuit& c, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<std::vector<mpz_class>> inputs(c.num_clients());
@@ -65,18 +65,6 @@ std::vector<std::vector<mpz_class>> make_inputs(const Circuit& c, std::uint64_t 
 }
 
 namespace {
-
-double category_elems(const Ledger& ledger, Phase phase, const std::string& cat) {
-  const auto& cats = ledger.categories(phase);
-  auto it = cats.find(cat);
-  return it == cats.end() ? 0 : static_cast<double>(it->second.elements);
-}
-
-double category_bytes(const Ledger& ledger, Phase phase, const std::string& cat) {
-  const auto& cats = ledger.categories(phase);
-  auto it = cats.find(cat);
-  return it == cats.end() ? 0 : static_cast<double>(it->second.bytes);
-}
 
 std::string point_key(unsigned n) {
   std::string key = "n";  // not "n" + to_string: GCC 12 -O2 trips -Werror=restrict
@@ -109,46 +97,6 @@ unsigned audit_packing(unsigned n) {
   return k == 0 ? 1 : k;
 }
 
-OnlinePoint run_online_point(unsigned n) {
-  OnlinePoint pt;
-  pt.n = n;
-  auto params = ProtocolParams::for_gap(n, 0.25, 128);
-  pt.t = params.t;
-  pt.k = params.k;
-  Circuit c = wide_mul_circuit(4 * n);  // width Theta(n), the paper's regime
-  pt.gates = c.num_mul_gates();
-
-  YosoMpc ours(params, c, AdversaryPlan::honest(n), 9000 + n);
-  ours.run(make_inputs(c, n));
-  pt.ours_mult_elems = category_elems(ours.ledger(), Phase::Online, "online.mult");
-  pt.ours_total_elems = static_cast<double>(ours.ledger().phase_total(Phase::Online).elements);
-  pt.ours_report = ours.ledger().report_json();
-
-  CdnBaseline cdn(params, c, AdversaryPlan::honest(n), 9100 + n);
-  cdn.run(make_inputs(c, n));
-  pt.cdn_mult_elems = category_elems(cdn.ledger(), Phase::Online, "cdn.mult.pdec");
-  pt.cdn_total_elems = static_cast<double>(cdn.ledger().phase_total(Phase::Online).elements);
-  pt.cdn_report = cdn.ledger().report_json();
-  return pt;
-}
-
-OfflinePoint run_offline_point(unsigned n) {
-  OfflinePoint pt;
-  pt.n = n;
-  auto params = ProtocolParams::for_gap(n, 0.25, 128);
-  pt.t = params.t;
-  pt.k = params.k;
-  Circuit c = wide_mul_circuit(n);
-  pt.gates = c.num_mul_gates();
-
-  YosoMpc mpc(params, c, AdversaryPlan::honest(n), 9200 + n);
-  mpc.run(make_inputs(c, n));
-  pt.offline_elems = static_cast<double>(mpc.ledger().phase_total(Phase::Offline).elements);
-  pt.offline_bytes = static_cast<double>(mpc.ledger().phase_total(Phase::Offline).bytes);
-  pt.report = mpc.ledger().report_json();
-  return pt;
-}
-
 AuditPoint run_audit_point(unsigned n) {
   AuditPoint pt;
   pt.n = n;
@@ -168,10 +116,6 @@ AuditPoint run_audit_point(unsigned n) {
   net::NetBulletin board(ledger);
   YosoMpc ours(params, c, AdversaryPlan::honest(n), 9300 + n, &board);
   ours.run(make_inputs(c, n));
-  pt.ours_mult_elems = category_elems(ledger, Phase::Online, "online.mult");
-  pt.ours_mult_bytes = category_bytes(ledger, Phase::Online, "online.mult");
-  pt.offline_elems = static_cast<double>(ledger.phase_total(Phase::Offline).elements);
-  pt.offline_bytes = static_cast<double>(ledger.phase_total(Phase::Offline).bytes);
   pt.ours_report = ledger.report_json();
   // Finalize and price the DAG now: after the CDN run its Residue node
   // would absorb the CDN's ops.
@@ -181,33 +125,10 @@ AuditPoint run_audit_point(unsigned n) {
 
   CdnBaseline cdn(params, c, AdversaryPlan::honest(n), 9400 + n);
   cdn.run(make_inputs(c, n));
-  pt.cdn_mult_elems = category_elems(cdn.ledger(), Phase::Online, "cdn.mult.pdec");
-  pt.cdn_mult_bytes = category_bytes(cdn.ledger(), Phase::Online, "cdn.mult.pdec");
   pt.cdn_report = cdn.ledger().report_json();
 
   pt.counts_json = obs::profiler().snapshot().snapshot_json();
   return pt;
-}
-
-std::string online_comm_json(const std::vector<OnlinePoint>& pts) {
-  json::Writer w;
-  w.begin_object();
-  for (const auto& pt : pts) {
-    w.key(point_key(pt.n)).begin_object();
-    w.key("ours").raw(pt.ours_report);
-    w.key("cdn").raw(pt.cdn_report);
-    w.end_object();
-  }
-  w.end_object();
-  return w.take();
-}
-
-std::string offline_comm_json(const std::vector<OfflinePoint>& pts) {
-  json::Writer w;
-  w.begin_object();
-  for (const auto& pt : pts) w.key(point_key(pt.n)).raw(pt.report);
-  w.end_object();
-  return w.take();
 }
 
 std::string scaling_audit_json(const std::vector<AuditPoint>& pts) {

@@ -76,9 +76,6 @@ TEST(DeterminismTest, ChaosCampaignReplays) {
 }
 
 TEST(DeterminismTest, PerfSweepPointReplays) {
-  expect_replay_identical([] {
-    return perf::online_comm_json({perf::run_online_point(4)});
-  });
   // The audit point carries the "profile" op counts as well as the ledgers.
   expect_replay_identical([] {
     const perf::AuditPoint pt = perf::run_audit_point(4);

@@ -157,12 +157,15 @@ json::Value audit_fixture(double ours_exponent) {
     const double cdn_elems = 2.0 * n * gates;
     const double cdn_bytes = 32.0 * cdn_elems;
     const double offline_bytes = 1000.0 * n * gates;
+    const double offline_elems = 50.0 * n * gates;
     if (!first) ss << ",";
     first = false;
     ss << "\"n" << n << "\":{\"t\":1,\"k\":" << k << ",\"gates\":" << gates
        << ",\"ours\":{\"online\":{\"categories\":{\"online.mult\":{\"bytes\":" << ours_bytes
        << ",\"elements\":" << ours_elems << "}}},\"offline\":{\"total\":{\"bytes\":"
-       << offline_bytes << "}}},\"cdn\":{\"online\":{\"categories\":{\"cdn.mult.pdec\":"
+       << offline_bytes << ",\"elements\":" << offline_elems << "},\"categories\":{"
+       << "\"offline.beaver\":{\"messages\":" << n << "}}}},"
+       << "\"cdn\":{\"online\":{\"categories\":{\"cdn.mult.pdec\":"
        << "{\"bytes\":" << cdn_bytes << ",\"elements\":" << cdn_elems << "}}}}}";
   }
   ss << "}}";
@@ -178,7 +181,24 @@ TEST(AuditScaling, PassesOnClaimConformingSweep) {
   EXPECT_TRUE(report.checks[2].pass) << report.checks[2].fit.slope;  // offline ~linear
   EXPECT_TRUE(report.speedup.feasible);
   EXPECT_GE(report.speedup.speedup, report.speedup_floor);
+  EXPECT_EQ(report.projections.size(), 4u);  // C in {1000, 20000} x f in {0.05, 0.20}
   EXPECT_TRUE(report.pass);
+
+  // The E3/E4 table rows, sorted by n: per-gate mult costs, offline per
+  // (n * gate) and the analytic naive column 3 n^2 ceil(gates/k) / gates.
+  ASSERT_EQ(report.rows.size(), 5u);
+  const double naive_per_gate[] = {48, 54, 96, 144, 192};
+  for (std::size_t i = 0; i < report.rows.size(); ++i) {
+    const perf::AuditRow& row = report.rows[i];
+    EXPECT_EQ(row.t, 1);
+    EXPECT_DOUBLE_EQ(row.ours_mult_elems / row.gates, row.n / row.k);
+    EXPECT_DOUBLE_EQ(row.cdn_mult_elems / row.gates, 2.0 * row.n);
+    EXPECT_DOUBLE_EQ(row.offline_elems / (row.n * row.gates), 50.0);
+    EXPECT_DOUBLE_EQ(row.naive_elems / row.gates, naive_per_gate[i]) << "n=" << row.n;
+  }
+  // The offline breakdown comes from the largest point's ledger.
+  ASSERT_EQ(report.offline_categories.members.size(), 1u);
+  EXPECT_EQ(report.offline_categories.members[0].second.u64_or("messages", 0), 16u);
 
   // The machine-readable verdict parses and agrees.
   const json::Value doc = json::parse(perf::audit_report_json(report));

@@ -1,21 +1,20 @@
 // perf — the performance observatory CLI over src/perf.
 //
 //   perf record [--sweep 4,6,8,12,16] [--json FILE]
-//       Run the online/offline/audit sweeps and merge the results into the
-//       bench file (default BENCH_comm.json, keys online_comm / offline_comm
-//       / scaling_audit / profile / critpath / meta).  The profile counts
-//       and the critpath analysis come from the audit runs.  Deterministic:
-//       seeded protocol runs, so two records of the same sweep are
-//       byte-identical.
+//       Run the audit sweep (ours + CDN per n) and merge the results into
+//       the bench file (default BENCH_comm.json, keys scaling_audit /
+//       profile / critpath / meta).  Deterministic: seeded protocol runs,
+//       so two records of the same sweep are byte-identical.
 //   perf check [--json FILE] --baseline FILE
 //       Compare the recorded metrics against a committed baseline; exit
 //       nonzero listing every violated tolerance (bytes +-10%, counts and
 //       parameters exact, missing metric = failure).
 //   perf audit [--json FILE] [--report FILE]
-//       Fit the scaling_audit sweep's per-gate exponents and verdict them
-//       against the paper's claimed asymptotics; re-derive the headline
-//       speedup at C=1000, f=0.05; gate the critpath forecast curves.
-//       Exit nonzero on any violated band.
+//       Print the E3 (online) and E4 (offline) per-gate tables of the
+//       scaling_audit sweep, fit its per-gate exponents and verdict them
+//       against the paper's claimed asymptotics; project the speedup to
+//       paper scale and gate the C=1000, f=0.05 cell; gate the critpath
+//       forecast curves.  Exit nonzero on any violated band.
 //   perf baseline [--json FILE] --out FILE
 //       Seed a baseline file from the currently recorded metrics.
 #include <cstdint>
@@ -39,8 +38,7 @@ namespace {
 
 using namespace yoso;
 
-const std::vector<std::string> kBenchKeys = {"online_comm", "offline_comm", "scaling_audit",
-                                             "profile", "critpath"};
+const std::vector<std::string> kBenchKeys = {"scaling_audit", "profile", "critpath"};
 
 int usage() {
   std::fprintf(stderr,
@@ -63,23 +61,13 @@ std::map<std::string, double> current_metrics(const std::string& json_path) {
 }
 
 int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path) {
-  std::vector<perf::OnlinePoint> online;
-  std::vector<perf::OfflinePoint> offline;
   std::vector<perf::AuditPoint> audit;
   for (unsigned n : sweep) {
-    std::printf("recording n=%u: online...", n);
-    std::fflush(stdout);
-    online.push_back(perf::run_online_point(n));
-    std::printf(" offline...");
-    std::fflush(stdout);
-    offline.push_back(perf::run_offline_point(n));
-    std::printf(" audit (k=%u)...", perf::audit_packing(n));
+    std::printf("recording n=%u (k=%u)...", n, perf::audit_packing(n));
     std::fflush(stdout);
     audit.push_back(perf::run_audit_point(n));
     std::printf(" done\n");
   }
-  perf::merge_bench_json(json_path, "online_comm", perf::online_comm_json(online));
-  perf::merge_bench_json(json_path, "offline_comm", perf::offline_comm_json(offline));
   perf::merge_bench_json(json_path, "scaling_audit", perf::scaling_audit_json(audit));
   perf::merge_bench_json(json_path, "profile", perf::profile_sweep_json(audit));
   perf::merge_bench_json(json_path, "critpath", perf::critpath_sweep_json(audit));
@@ -120,26 +108,55 @@ int cmd_audit(const std::string& json_path, const std::string& report_path) {
     std::fprintf(stderr, "perf audit: %s\n", report.error.c_str());
     return 1;
   }
-  std::printf("=== scaling-law audit (%s) ===\n", json_path.c_str());
-  std::printf("%-36s %8s %18s %8s %16s %s\n", "series", "slope", "95% CI", "r^2", "band",
+  const perf::AuditRow& first = report.rows.front();
+  const perf::AuditRow& last = report.rows.back();
+  std::printf("=== E3/E4: broadcast elements per multiplication gate (%s, scaling_audit) ===\n",
+              json_path.c_str());
+  std::printf("%4s %3s %3s | %10s %10s %10s | %12s %16s\n", "n", "t", "k", "ours mult",
+              "CDN mult", "naive", "offline", "offline/(n*gate)");
+  for (const perf::AuditRow& row : report.rows) {
+    std::printf("%4.0f %3.0f %3.0f | %10.1f %10.1f %10.1f | %12.1f %16.2f\n", row.n, row.t,
+                row.k, row.ours_mult_elems / row.gates, row.cdn_mult_elems / row.gates,
+                row.naive_elems / row.gates, row.offline_elems / row.gates,
+                row.offline_elems / (row.n * row.gates));
+  }
+  std::printf("\nShape (n: %.0f -> %.0f, %.1fx): ours grew %.2fx (paper: flat, O(1)), "
+              "CDN %.2fx (O(n)), offline %.2fx (O(n))\n",
+              first.n, last.n, last.n / first.n,
+              (last.ours_mult_elems / last.gates) / (first.ours_mult_elems / first.gates),
+              (last.cdn_mult_elems / last.gates) / (first.cdn_mult_elems / first.gates),
+              (last.offline_elems / last.gates) / (first.offline_elems / first.gates));
+  std::printf("\nOffline breakdown at n = %.0f (ours' ledger):\n", last.n);
+  for (const auto& [cat, e] : report.offline_categories.members) {
+    std::printf("  %-22s %8.0f msgs %10.0f elems %12.0f bytes\n", cat.c_str(),
+                e.num_or("messages", 0), e.num_or("elements", 0), e.num_or("bytes", 0));
+  }
+
+  std::printf("\n%-36s %8s %18s %8s %16s %s\n", "series", "slope", "95% CI", "r^2", "band",
               "verdict");
   for (const obs::ExponentCheck& check : report.checks) {
     std::printf("%-36s %8.3f [%7.3f,%7.3f] %8.4f [%5.2f,%5.2f] %s\n", check.name.c_str(),
                 check.fit.slope, check.fit.ci_lo, check.fit.ci_hi, check.fit.r2, check.band.lo,
                 check.band.hi, check.pass ? "PASS" : "FAIL");
   }
-  const obs::SpeedupDerivation& sd = report.speedup;
-  if (sd.feasible) {
-    std::printf("\nHeadline re-derivation at C=%.0f, f=%.2f (sortition: c=%.0f, c'=%.0f, "
-                "k=%u):\n",
-                sd.C, sd.f, sd.c, sd.c_prime, sd.k);
-    std::printf("  measured e0=%.3f elems/mu-share, CDN %.3f elems/gate/member\n", sd.e0,
-                sd.cdn_per_member);
-    std::printf("  baseline %.0f vs ours %.1f elems/gate -> speedup %.0fx (floor %.0fx) %s\n",
-                sd.baseline_per_gate, sd.ours_per_gate, sd.speedup, report.speedup_floor,
-                sd.speedup >= report.speedup_floor ? "PASS" : "FAIL");
-  } else {
-    std::printf("\nHeadline re-derivation: infeasible (missing audit data)  FAIL\n");
+  std::printf("\nPaper-scale projection from n = %.0f, k = %.0f (e0 = %.3f elems/mu-share, "
+              "CDN %.3f elems/gate/member):\n",
+              last.n, last.k, report.speedup.e0, report.speedup.cdn_per_member);
+  for (const obs::SpeedupDerivation& sd : report.projections) {
+    if (!sd.feasible) {
+      std::printf("  C=%6.0f f=%.2f: infeasible%s\n", sd.C, sd.f,
+                  &sd == &report.projections.front() ? "  FAIL" : "");
+      continue;
+    }
+    std::printf("  C=%6.0f f=%.2f (c=%5.0f, c'=%5.0f, k=%u): baseline %8.0f vs ours %6.1f "
+                "elems/gate -> %5.0fx",
+                sd.C, sd.f, sd.c, sd.c_prime, sd.k, sd.baseline_per_gate, sd.ours_per_gate,
+                sd.speedup);
+    if (&sd == &report.projections.front()) {
+      std::printf(" (floor %.0fx) %s", report.speedup_floor,
+                  sd.speedup >= report.speedup_floor ? "PASS" : "FAIL");
+    }
+    std::printf("\n");
   }
   if (!report.critpath_note.empty()) {
     std::printf("\nCritical-path forecast: skipped (%s)\n", report.critpath_note.c_str());

@@ -456,6 +456,12 @@ int cmd_export(const std::string& path, const std::string& cat) {
   yoso::json::Writer w;
   w.begin_object();
   w.field("displayTimeUnit", doc.str_or("displayTimeUnit", "ms"));
+  // Keep the run's self-describing header, so `trace diff` of a trace and
+  // its own export sees one obs generation.
+  if (const yoso::json::Value* meta = doc.find("runMeta")) {
+    w.key("runMeta");
+    yoso::json::write(w, *meta);
+  }
   w.key("traceEvents").begin_array();
   std::size_t kept = 0;
   for (const auto& ev : events->items) {

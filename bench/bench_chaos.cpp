@@ -10,12 +10,15 @@
 //
 // The outcome histogram and minimizer cost land in BENCH_comm.json under
 // "chaos_campaign" so robustness regressions are visible across PRs.
+//
+// Usage: bench_chaos [count]
 #include <cstdio>
 #include <sstream>
 
 #include "chaos/campaign.hpp"
 #include "chaos/minimize.hpp"
 #include "perf/benchfile.hpp"
+#include "perf/sweep.hpp"
 
 using namespace yoso;
 using chaos::CampaignRunner;
@@ -24,7 +27,12 @@ using chaos::RunReport;
 
 int main(int argc, char** argv) {
   const std::uint64_t seed = 42;
-  const std::size_t count = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100;
+  std::size_t count = 100;
+  if (argc > 2 ||
+      (argc > 1 && !perf::parse_uint_flag("bench_chaos", "count", argv[1], 1, count))) {
+    std::fprintf(stderr, "usage: bench_chaos [count]\n");
+    return 2;
+  }
 
   std::printf("=== E10: chaos campaign, %zu seeded schedules (seed %llu) ===\n", count,
               static_cast<unsigned long long>(seed));

@@ -13,11 +13,11 @@
 //
 // Usage: bench_service [sessions] [batch_clients]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "common/json.hpp"
 #include "perf/benchfile.hpp"
+#include "perf/sweep.hpp"
 #include "service/service.hpp"
 #include "service/workloads.hpp"
 
@@ -54,8 +54,15 @@ std::unique_ptr<MpcService> run_load(const AggregationWorkload& workload,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t sessions = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100;
-  const std::uint64_t batch_clients = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 20'000;
+  std::uint64_t sessions = 100;
+  std::uint64_t batch_clients = 20'000;
+  if (argc > 3 ||
+      (argc > 1 && !perf::parse_uint_flag("bench_service", "sessions", argv[1], 1, sessions)) ||
+      (argc > 2 &&
+       !perf::parse_uint_flag("bench_service", "batch_clients", argv[2], 1, batch_clients))) {
+    std::fprintf(stderr, "usage: bench_service [sessions] [batch_clients]\n");
+    return 2;
+  }
 
   AggregationConfig acfg;
   acfg.clients_total = sessions * batch_clients;

@@ -15,12 +15,12 @@
 //
 // Usage: bench_wan_churn [count] [seed]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "chaos/campaign.hpp"
 #include "common/json.hpp"
 #include "perf/benchfile.hpp"
+#include "perf/sweep.hpp"
 
 using namespace yoso;
 using chaos::CampaignRunner;
@@ -29,8 +29,14 @@ using chaos::Outcome;
 using chaos::RunReport;
 
 int main(int argc, char** argv) {
-  const std::size_t count = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 50;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  std::size_t count = 50;
+  std::uint64_t seed = 42;
+  if (argc > 3 ||
+      (argc > 1 && !perf::parse_uint_flag("bench_wan_churn", "count", argv[1], 1, count)) ||
+      (argc > 2 && !perf::parse_uint_flag("bench_wan_churn", "seed", argv[2], 0, seed))) {
+    std::fprintf(stderr, "usage: bench_wan_churn [count] [seed]\n");
+    return 2;
+  }
 
   std::printf("=== E14: WAN/churn resilience — %zu schedules (seed %llu) ===\n", count,
               static_cast<unsigned long long>(seed));

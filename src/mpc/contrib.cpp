@@ -1,6 +1,6 @@
 #include "mpc/contrib.hpp"
 
-#include "mpc/reencrypt.hpp"  // ProtocolAbort
+#include "mpc/round.hpp"
 #include "nizk/mult_proof.hpp"
 #include "nizk/plaintext_proof.hpp"
 #include "obs/trace.hpp"
@@ -14,73 +14,38 @@ std::vector<mpz_class> contribute_randoms(const ThresholdPK& tpk, Committee& com
                                           Rng& rng) {
   obs::Span span("contrib.randoms", "contrib");
   span.attr("committee", com.name).attr("count", count).attr("phase", phase_name(phase));
-  const unsigned n = com.n();
-  struct Contribution {
-    mpz_class ct;
-    PlaintextProof proof;
-  };
-  std::vector<std::vector<Contribution>> msgs(n);
-  for (unsigned j = 0; j < n; ++j) {
-    if (!com.corruption.is_active(j)) continue;
-    com.speak(j);
-    const bool bad = com.corruption.is_malicious(j);
-    const auto strat = com.corruption.strategy;
-    msgs[j].reserve(count);
-    std::size_t bytes = 0;
+  auto build = [&](unsigned, RoleFault fault, std::size_t& bytes) {
+    ContribMsg msg;
     for (std::size_t v = 0; v < count; ++v) {
       SecretMpz m(rng.below(tpk.pk.ns));
       mpz_class r;
       mpz_class ct = tpk.pk.enc_secret(m, rng, &r);
       PlaintextProof proof = prove_plaintext(tpk.pk, ct, m, SecretMpz(r), rng);
-      if (bad && strat == MaliciousStrategy::BadShare) {
+      if (fault.bad_share) {
         ct = tpk.pk.add(ct, tpk.pk.enc(mpz_class(1), rng));  // proof no longer matches
       }
-      if (bad && strat == MaliciousStrategy::BadProof) proof.inner.z += 1;
+      if (fault.bad_proof) proof.inner.z += 1;
       bytes += mpz_wire_size(ct) + proof.wire_bytes();
-      msgs[j].push_back(Contribution{std::move(ct), std::move(proof)});
+      msg.cts.push_back(std::move(ct));
+      msg.proofs.push_back(std::move(proof));
     }
-    std::vector<std::uint8_t> payload;
-    if (bulletin.wants_payload()) {
-      ContribMsg wire;
-      for (const auto& c : msgs[j]) {
-        wire.cts.push_back(c.ct);
-        wire.proofs.push_back(c.proof);
-      }
-      payload = encode_contrib_msg(wire);
-    }
-    PostStatus st = bulletin.publish(com, j, phase, label, bytes, count,
-                                     /*first_post_of_role=*/false,
-                                     payload.empty() ? nullptr : &payload);
-    // A post that never reached the board leaves the role silent: observers
-    // verify what the board serves, not what the role computed.
-    if (st != PostStatus::Accepted) msgs[j].clear();
-  }
+    return msg;
+  };
+  const auto round = post_round(com, phase, label, bulletin, count, build, encode_contrib_msg);
 
-  unsigned present = 0;
-  for (unsigned j = 0; j < n; ++j) present += msgs[j].empty() ? 0 : 1;
-
+  // Each value is the sum of every verified contribution.
   std::vector<mpz_class> out(count);
   for (std::size_t v = 0; v < count; ++v) {
-    mpz_class sum;
-    bool first = true;
-    unsigned verified = 0;
-    for (unsigned j = 0; j < n; ++j) {
-      if (msgs[j].empty()) continue;
-      const auto& c = msgs[j][v];
-      if (!verify_plaintext(tpk.pk, c.ct, c.proof)) continue;
-      ++verified;
-      if (first) {
-        sum = c.ct;
-        first = false;
-      } else {
-        sum = tpk.pk.add(sum, c.ct);
-      }
-    }
-    if (verified < tpk.t + 1) {
-      throw ProtocolAbort(FailureReport{FailureKind::Threshold, phase, com.name, label,
-                                        tpk.t + 1, verified, present - verified, n - present});
-    }
-    out[v] = std::move(sum);
+    std::optional<mpz_class> sum;
+    round.gate(
+        GateRule::Sum, tpk.t + 1,
+        [&](unsigned, const ContribMsg& m) {
+          return verify_plaintext(tpk.pk, m.cts[v], m.proofs[v]);
+        },
+        [&](unsigned, const ContribMsg& m) {
+          sum = sum ? tpk.pk.add(*sum, m.cts[v]) : m.cts[v];
+        });
+    out[v] = std::move(*sum);
   }
   return out;
 }
@@ -93,75 +58,39 @@ std::vector<BeaverTriple> make_beaver_triples(const ThresholdPK& tpk, Committee&
   std::vector<mpz_class> c_a =
       contribute_randoms(tpk, com_a, count, phase, "beaver.a", bulletin, rng);
 
-  const unsigned n = com_b.n();
-  struct BC {
-    mpz_class cb, cc;
-    MultProof proof;
-  };
-  std::vector<std::vector<BC>> msgs(n);
-  for (unsigned j = 0; j < n; ++j) {
-    if (!com_b.corruption.is_active(j)) continue;
-    com_b.speak(j);
-    const bool bad = com_b.corruption.is_malicious(j);
-    const auto strat = com_b.corruption.strategy;
-    msgs[j].reserve(count);
-    std::size_t bytes = 0;
+  auto build = [&](unsigned, RoleFault fault, std::size_t& bytes) {
+    BeaverMsg msg;
     for (std::size_t g = 0; g < count; ++g) {
       SecretMpz b(rng.below(tpk.pk.ns));
       mpz_class rb, rho;
       mpz_class cb = tpk.pk.enc_secret(b, rng, &rb);
       mpz_class cc = tpk.pk.rerandomize(tpk.pk.scal_secret(c_a[g], b), rng, &rho);
-      if (bad && strat == MaliciousStrategy::BadShare) {
-        cc = tpk.pk.add(cc, tpk.pk.enc(mpz_class(1), rng));  // c no longer a*b
-      }
+      if (fault.bad_share) cc = tpk.pk.add(cc, tpk.pk.enc(mpz_class(1), rng));  // c no longer a*b
       MultProof proof = prove_mult(tpk.pk, c_a[g], cb, cc, b, SecretMpz(rb), SecretMpz(rho), rng);
-      if (bad && strat == MaliciousStrategy::BadProof) proof.z += 1;
+      if (fault.bad_proof) proof.z += 1;
       bytes += mpz_wire_size(cb) + mpz_wire_size(cc) + proof.wire_bytes();
-      msgs[j].push_back(BC{std::move(cb), std::move(cc), std::move(proof)});
+      msg.cb.push_back(std::move(cb));
+      msg.cc.push_back(std::move(cc));
+      msg.proofs.push_back(std::move(proof));
     }
-    std::vector<std::uint8_t> payload;
-    if (bulletin.wants_payload()) {
-      BeaverMsg wire;
-      for (const auto& m : msgs[j]) {
-        wire.cb.push_back(m.cb);
-        wire.cc.push_back(m.cc);
-        wire.proofs.push_back(m.proof);
-      }
-      payload = encode_beaver_msg(wire);
-    }
-    PostStatus st = bulletin.publish(com_b, j, phase, "beaver.bc", bytes, 2 * count,
-                                     /*first_post_of_role=*/false,
-                                     payload.empty() ? nullptr : &payload);
-    if (st != PostStatus::Accepted) msgs[j].clear();
-  }
-
-  unsigned present = 0;
-  for (unsigned j = 0; j < n; ++j) present += msgs[j].empty() ? 0 : 1;
+    return msg;
+  };
+  const auto round =
+      post_round(com_b, phase, "beaver.bc", bulletin, 2 * count, build, encode_beaver_msg);
 
   std::vector<BeaverTriple> out(count);
   for (std::size_t g = 0; g < count; ++g) {
-    mpz_class sb, sc;
-    bool first = true;
-    unsigned verified = 0;
-    for (unsigned j = 0; j < n; ++j) {
-      if (msgs[j].empty()) continue;
-      const auto& m = msgs[j][g];
-      if (!verify_mult(tpk.pk, c_a[g], m.cb, m.cc, m.proof)) continue;
-      ++verified;
-      if (first) {
-        sb = m.cb;
-        sc = m.cc;
-        first = false;
-      } else {
-        sb = tpk.pk.add(sb, m.cb);
-        sc = tpk.pk.add(sc, m.cc);
-      }
-    }
-    if (verified < tpk.t + 1) {
-      throw ProtocolAbort(FailureReport{FailureKind::Threshold, phase, com_b.name, "beaver.bc",
-                                        tpk.t + 1, verified, present - verified, n - present});
-    }
-    out[g] = BeaverTriple{c_a[g], std::move(sb), std::move(sc)};
+    std::optional<mpz_class> sb, sc;
+    round.gate(
+        GateRule::Sum, tpk.t + 1,
+        [&](unsigned, const BeaverMsg& m) {
+          return verify_mult(tpk.pk, c_a[g], m.cb[g], m.cc[g], m.proofs[g]);
+        },
+        [&](unsigned, const BeaverMsg& m) {
+          sb = sb ? tpk.pk.add(*sb, m.cb[g]) : m.cb[g];
+          sc = sc ? tpk.pk.add(*sc, m.cc[g]) : m.cc[g];
+        });
+    out[g] = BeaverTriple{c_a[g], std::move(*sb), std::move(*sc)};
   }
   return out;
 }

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "field/zn_ring.hpp"
+#include "mpc/round.hpp"
 #include "nizk/link_proof.hpp"  // kKappa/kStat (bounds)
 #include "nizk/root_proof.hpp"
 #include "obs/trace.hpp"
@@ -21,6 +22,20 @@ mpz_class derive_mu_share(const ZnRing& ring, const mpz_class& mu_a, const mpz_c
                           const mpz_class& m_gamma, const mpz_class& p_int) {
   mpz_class bracket = mu_a * mu_b + mu_a * m_beta + mu_b * m_alpha + m_gamma;
   return ring.mod(bracket - p_int);
+}
+
+// The RootProof statement for role i's P_int of one batch, under the role's
+// KFF key: u = c_comb / Enc(P_int; 1) with c_comb = B_beta^{mu_ai} *
+// B_alpha^{mu_bi} * B_gamma, an N^s-th power exactly when P_int is the pad
+// combination c_comb encrypts.  Throws std::domain_error when Enc(P_int; 1)
+// is not invertible (only a malformed P_int can make it so).
+mpz_class root_statement(const PaillierPK& kpk, const BatchShares& bs, unsigned i,
+                         const mpz_class& mu_ai, const mpz_class& mu_bi, const mpz_class& p_int) {
+  mpz_class c_comb = kpk.add(
+      kpk.add(kpk.scal(bs.beta[i].pad_ct, mu_ai), kpk.scal(bs.alpha[i].pad_ct, mu_bi)),
+      bs.gamma[i].pad_ct);
+  mpz_class enc_pint = kpk.enc(p_int, mpz_class(1));
+  return c_comb * mod_inverse(enc_pint, kpk.ns1) % kpk.ns1;
 }
 
 }  // namespace
@@ -165,59 +180,36 @@ OnlineResult run_online(const ProtocolParams& params, const Circuit& circuit,
     }
 
     // Each active role publishes P_int + RootProof per batch.
-    struct RoleMsg {
-      std::vector<mpz_class> p_int;    // per batch
-      std::vector<RootProof> proofs;
-    };
-    std::vector<std::optional<RoleMsg>> msgs(n);
-    for (unsigned i = 0; i < n; ++i) {
-      if (!com.corruption.is_active(i)) continue;
-      com.speak(i);
-      const bool bad = com.corruption.is_malicious(i);
-      const auto strat = com.corruption.strategy;
-      RoleMsg rm;
-      std::size_t bytes = 0;
+    auto build = [&](unsigned i, RoleFault fault, std::size_t& bytes) {
+      MultShareMsg msg;
+      const PaillierSK& kff = kffs[i];
       for (std::size_t bi = 0; bi < layer_batches.size(); ++bi) {
         const BatchShares& bs = offline.batch_shares[layer_batches[bi]];
-        const PaillierSK& kff = kffs[i];
         mpz_class p_a = kff.dec(bs.alpha[i].pad_ct);
         mpz_class p_b = kff.dec(bs.beta[i].pad_ct);
         mpz_class p_g = kff.dec(bs.gamma[i].pad_ct);
         const mpz_class& mu_ai = mu_a_shares[bi][i];
         const mpz_class& mu_bi = mu_b_shares[bi][i];
         mpz_class p_int = mu_ai * p_b + mu_bi * p_a + p_g;
-        if (bad && strat == MaliciousStrategy::BadShare) p_int += 1;
-        // c_combined = B_beta^{mu_ai} * B_alpha^{mu_bi} * B_gamma under KFF.
-        mpz_class c_comb = kff.pk.add(
-            kff.pk.add(kff.pk.scal(bs.beta[i].pad_ct, mu_ai), kff.pk.scal(bs.alpha[i].pad_ct, mu_bi)),
-            bs.gamma[i].pad_ct);
-        mpz_class enc_pint = kff.pk.enc(p_int, mpz_class(1));
-        mpz_class u = c_comb * mod_inverse(enc_pint, kff.pk.ns1) % kff.pk.ns1;
+        if (fault.bad_share) p_int += 1;
+        const mpz_class u = root_statement(kff.pk, bs, i, mu_ai, mu_bi, p_int);
         RootProof proof;
-        if (bad && strat == MaliciousStrategy::BadShare) {
+        if (fault.bad_share) {
           // No root exists for the shifted P_int; fake an attempt.
           proof = prove_root(kff.pk, u, SecretMpz(rng.unit_mod(kff.pk.n)), rng);
         } else {
           SecretMpz rho = kff.extract_root(u);
           proof = prove_root(kff.pk, u, rho, rng);
-          if (bad && strat == MaliciousStrategy::BadProof) proof.z += 1;
+          if (fault.bad_proof) proof.z += 1;
         }
         bytes += mpz_wire_size(p_int) + proof.wire_bytes();
-        rm.p_int.push_back(std::move(p_int));
-        rm.proofs.push_back(std::move(proof));
+        msg.p_int.push_back(std::move(p_int));
+        msg.proofs.push_back(std::move(proof));
       }
-      std::vector<std::uint8_t> payload;
-      if (bulletin.wants_payload()) {
-        payload = encode_mult_share_msg(MultShareMsg{rm.p_int, rm.proofs});
-      }
-      PostStatus st = bulletin.publish(com, i, Phase::Online, "online.mult", bytes,
-                                       layer_batches.size(), /*first_post_of_role=*/false,
-                                       payload.empty() ? nullptr : &payload);
-      if (st == PostStatus::Accepted) msgs[i] = std::move(rm);
-    }
-
-    unsigned present = 0;
-    for (unsigned i = 0; i < n; ++i) present += msgs[i] ? 1 : 0;
+      return msg;
+    };
+    const auto round = post_round(com, Phase::Online, "online.mult", bulletin,
+                                  layer_batches.size(), build, encode_mult_share_msg);
 
     // Everyone verifies and reconstructs mu^gamma per batch.
     const mpz_class pint_bound = mpz_class(1) << params.pint_bound_bits();
@@ -226,36 +218,26 @@ OnlineResult run_online(const ProtocolParams& params, const Circuit& circuit,
       const BatchShares& bs = offline.batch_shares[layer_batches[bi]];
       std::vector<std::int64_t> pts;
       std::vector<mpz_class> shares;
-      for (unsigned i = 0; i < n && pts.size() < params.recon_threshold(); ++i) {
-        if (!msgs[i]) continue;
-        const auto& rm = *msgs[i];
-        const mpz_class& p_int = rm.p_int[bi];
-        if (p_int < 0 || p_int >= pint_bound) continue;
-        const PaillierPK& kpk = setup.kff_mult[layer - 1][i].sk.pk;
-        const mpz_class& mu_ai = mu_a_shares[bi][i];
-        const mpz_class& mu_bi = mu_b_shares[bi][i];
-        mpz_class c_comb = kpk.add(
-            kpk.add(kpk.scal(bs.beta[i].pad_ct, mu_ai), kpk.scal(bs.alpha[i].pad_ct, mu_bi)),
-            bs.gamma[i].pad_ct);
-        mpz_class enc_pint = kpk.enc(p_int, mpz_class(1));
-        mpz_class enc_inv;
-        try {
-          enc_inv = mod_inverse(enc_pint, kpk.ns1);
-        } catch (const std::domain_error&) {
-          continue;
-        }
-        mpz_class u = c_comb * enc_inv % kpk.ns1;
-        if (!verify_root(kpk, u, rm.proofs[bi])) continue;
-        pts.push_back(static_cast<std::int64_t>(i) + 1);
-        shares.push_back(derive_mu_share(ring, mu_ai, mu_bi, bs.alpha[i].masked,
-                                         bs.beta[i].masked, bs.gamma[i].masked, p_int));
-      }
-      if (pts.size() < params.recon_threshold()) {
-        const unsigned verified = static_cast<unsigned>(pts.size());
-        throw ProtocolAbort(FailureReport{FailureKind::Threshold, Phase::Online, com.name,
-                                          "online.mult", params.recon_threshold(), verified,
-                                          present - verified, n - present});
-      }
+      round.gate(
+          GateRule::Quorum, params.recon_threshold(),
+          [&](unsigned i, const MultShareMsg& msg) {
+            const mpz_class& p_int = msg.p_int[bi];
+            if (p_int < 0 || p_int >= pint_bound) return false;
+            const PaillierPK& kpk = setup.kff_mult[layer - 1][i].sk.pk;
+            mpz_class u;
+            try {
+              u = root_statement(kpk, bs, i, mu_a_shares[bi][i], mu_b_shares[bi][i], p_int);
+            } catch (const std::domain_error&) {
+              return false;
+            }
+            return verify_root(kpk, u, msg.proofs[bi]);
+          },
+          [&](unsigned i, const MultShareMsg& msg) {
+            pts.push_back(static_cast<std::int64_t>(i) + 1);
+            shares.push_back(derive_mu_share(ring, mu_a_shares[bi][i], mu_b_shares[bi][i],
+                                             bs.alpha[i].masked, bs.beta[i].masked,
+                                             bs.gamma[i].masked, msg.p_int[bi]));
+          });
       for (unsigned j = 0; j < batch.real; ++j) {
         mpz_class mu_g = lagrange_at(ring, pts, shares, secret_point(j));
         WireId w = batch.gamma[j];

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "mpc/round.hpp"
 #include "obs/trace.hpp"
 #include "wire/codec.hpp"
 
@@ -42,6 +43,25 @@ LinkStatement pad_statement(const ThresholdPK& tpk, const PaillierPK& target,
   return st;
 }
 
+// The statement of role `msg.from_index`'s subshare for next role i: its
+// ciphertext under i's key holds the exponent of v^{f_j(i+1)}, which anyone
+// derives from the Feldman commitments as prod_c com_c^{(i+1)^c}.
+LinkStatement subshare_statement(const ThresholdPK& tpk, const PaillierPK& rpk,
+                                 const HandoverMsg& msg, unsigned i, unsigned bound_bits) {
+  mpz_class v_fij = 1;
+  mpz_class pw = 1;
+  for (const auto& com : msg.commitments) {
+    v_fij = v_fij * powm_pub(com, pw, tpk.pk.ns1) % tpk.pk.ns1;
+    pw *= (i + 1);
+  }
+  LinkStatement st;
+  st.domain = "handover";
+  st.paillier_legs = {PaillierLeg{rpk, msg.enc_subshares[i]}};
+  st.exponent_legs = {ExponentLeg{tpk.v, v_fij, tpk.pk.ns1}};
+  st.bound_bits = bound_bits;
+  return st;
+}
+
 }  // namespace
 
 std::vector<DecryptChain::MaskSums> DecryptChain::run_mask_committee(
@@ -49,77 +69,54 @@ std::vector<DecryptChain::MaskSums> DecryptChain::run_mask_committee(
     const std::string& label) {
   obs::Span span("reencrypt.mask", "reencrypt");
   span.attr("committee", masker.name).attr("targets", targets.size()).attr("label", label);
-  const unsigned n = masker.n();
   const std::size_t m = targets.size();
   const unsigned bound_bits = params_->pad_bound_bits();
   const mpz_class pad_space = mpz_class(1) << bound_bits;
 
-  // msgs[j][r]: role j's contribution for value r (inactive roles: empty).
-  std::vector<std::vector<MaskMsg>> msgs(n);
-  for (unsigned j = 0; j < n; ++j) {
-    if (!masker.corruption.is_active(j)) continue;
-    masker.speak(j);
-    const bool bad = masker.corruption.is_malicious(j);
-    const auto strat = masker.corruption.strategy;
-    msgs[j].reserve(m);
-    std::size_t bytes = 0;
+  // Each role contributes one pad per value, under tpk and under the target.
+  auto build = [&](unsigned, RoleFault fault, std::size_t& bytes) {
+    std::vector<MaskMsg> msgs;
     for (std::size_t r = 0; r < m; ++r) {
       SecretMpz pad(rng_->below(pad_space));
       MaskMsg msg;
       mpz_class r1, r2;
       msg.a = tpk_.pk.enc_secret(pad, *rng_, &r1);
       SecretMpz b_plain = pad;
-      if (bad && strat == MaliciousStrategy::BadShare) {
-        b_plain = b_plain + mpz_class(1);  // inconsistent pad
-      }
+      if (fault.bad_share) b_plain = b_plain + mpz_class(1);  // inconsistent pad
       msg.b = targets[r]->enc_secret(b_plain, *rng_, &r2);
       LinkWitness w{pad, {SecretMpz(r1), SecretMpz(r2)}};
       msg.proof = link_prove(pad_statement(tpk_, *targets[r], msg.a, msg.b, bound_bits), w,
                              *rng_);
-      if (bad && strat == MaliciousStrategy::BadProof) msg.proof.z += 1;
+      if (fault.bad_proof) msg.proof.z += 1;
       bytes += msg.wire_bytes();
-      msgs[j].push_back(std::move(msg));
+      msgs.push_back(std::move(msg));
     }
-    std::vector<std::uint8_t> payload;
-    if (bulletin_->wants_payload()) payload = encode_mask_batch(msgs[j]);
-    PostStatus st = bulletin_->publish(masker, j, phase, label + ".mask", bytes, 2 * m,
-                                       /*first_post_of_role=*/false,
-                                       payload.empty() ? nullptr : &payload);
-    // A post that never reached the board leaves the role silent.
-    if (st != PostStatus::Accepted) msgs[j].clear();
-  }
-
-  unsigned present = 0;
-  for (unsigned j = 0; j < n; ++j) present += msgs[j].empty() ? 0 : 1;
+    return msgs;
+  };
+  const auto round =
+      post_round(masker, phase, label + ".mask", *bulletin_, 2 * m, build, encode_mask_batch);
 
   // Everyone verifies; per value, sum over the roles whose proof checks.
   std::vector<MaskSums> out(m);
   for (std::size_t r = 0; r < m; ++r) {
-    mpz_class a_sum = 0, b_sum = 0;  // 0 is not a valid ciphertext; start empty
-    bool first = true;
-    unsigned verified = 0;
-    for (unsigned j = 0; j < n; ++j) {
-      if (msgs[j].empty()) continue;
-      const MaskMsg& msg = msgs[j][r];
-      if (!link_verify(pad_statement(tpk_, *targets[r], msg.a, msg.b, bound_bits), msg.proof)) {
-        continue;
-      }
-      ++verified;
-      if (first) {
-        a_sum = msg.a;
-        b_sum = msg.b;
-        first = false;
-      } else {
-        a_sum = tpk_.pk.add(a_sum, msg.a);
-        b_sum = targets[r]->add(b_sum, msg.b);
-      }
-    }
-    if (verified < tpk_.t + 1) {
-      throw ProtocolAbort(FailureReport{FailureKind::Threshold, phase, masker.name,
-                                        label + ".mask", tpk_.t + 1, verified,
-                                        present - verified, n - present});
-    }
-    out[r] = MaskSums{std::move(a_sum), std::move(b_sum)};
+    std::optional<MaskSums> sum;
+    round.gate(
+        GateRule::Sum, tpk_.t + 1,
+        [&](unsigned, const std::vector<MaskMsg>& msgs) {
+          const MaskMsg& msg = msgs[r];
+          return link_verify(pad_statement(tpk_, *targets[r], msg.a, msg.b, bound_bits),
+                             msg.proof);
+        },
+        [&](unsigned, const std::vector<MaskMsg>& msgs) {
+          const MaskMsg& msg = msgs[r];
+          if (!sum) {
+            sum = MaskSums{msg.a, msg.b};
+            return;
+          }
+          sum->a_sum = tpk_.pk.add(sum->a_sum, msg.a);
+          sum->b_sum = targets[r]->add(sum->b_sum, msg.b);
+        });
+    out[r] = std::move(*sum);
   }
   return out;
 }
@@ -130,62 +127,40 @@ std::vector<mpz_class> DecryptChain::run_decrypt_committee(Committee& holder,
                                                            Committee* next_holder) {
   obs::Span span("reencrypt.pdec", "reencrypt");
   span.attr("committee", holder.name).attr("cts", cts.size()).attr("label", label);
-  const unsigned n = holder.n();
   const std::size_t m = cts.size();
 
-  struct RoleOutput {
-    std::vector<mpz_class> partials;
-    std::vector<PdecProof> proofs;
-  };
-  std::vector<std::optional<RoleOutput>> outputs(n);
-
-  for (unsigned j = 0; j < n; ++j) {
-    if (!holder.corruption.is_active(j)) continue;
-    holder.speak(j);
-    const bool bad = holder.corruption.is_malicious(j);
-    const auto strat = holder.corruption.strategy;
-    RoleOutput ro;
-    std::size_t bytes = 0;
+  auto build = [&](unsigned j, RoleFault fault, std::size_t& bytes) {
+    PdecMsg msg;
     for (const auto& c : cts) {
       mpz_class partial = tpdec(tpk_, shares_[j], c);
-      if (bad && strat == MaliciousStrategy::BadShare) {
+      if (fault.bad_share) {
         partial = partial * (tpk_.pk.n + 1) % tpk_.pk.ns1;  // shift the plaintext part
       }
       PdecProof proof = prove_pdec(tpk_, shares_[j], c, partial, *rng_);
-      if (bad && strat == MaliciousStrategy::BadProof) proof.inner.z += 1;
+      if (fault.bad_proof) proof.inner.z += 1;
       bytes += mpz_wire_size(partial) + proof.wire_bytes();
-      ro.partials.push_back(std::move(partial));
-      ro.proofs.push_back(std::move(proof));
+      msg.partials.push_back(std::move(partial));
+      msg.proofs.push_back(std::move(proof));
     }
-    std::vector<std::uint8_t> payload;
-    if (bulletin_->wants_payload()) payload = encode_pdec_msg(PdecMsg{ro.partials, ro.proofs});
-    PostStatus st = bulletin_->publish(holder, j, phase, label + ".pdec", bytes, m,
-                                       /*first_post_of_role=*/false,
-                                       payload.empty() ? nullptr : &payload);
-    if (st == PostStatus::Accepted) outputs[j] = std::move(ro);
-  }
-
-  unsigned present = 0;
-  for (unsigned j = 0; j < n; ++j) present += outputs[j] ? 1 : 0;
+    return msg;
+  };
+  const auto round =
+      post_round(holder, phase, label + ".pdec", *bulletin_, m, build, encode_pdec_msg);
 
   // Combine: per ciphertext, take the first t+1 verified partials.
   std::vector<mpz_class> plain(m);
   for (std::size_t r = 0; r < m; ++r) {
     std::vector<unsigned> idx;
     std::vector<mpz_class> parts;
-    for (unsigned j = 0; j < n && idx.size() < tpk_.t + 1; ++j) {
-      if (!outputs[j]) continue;
-      const auto& ro = *outputs[j];
-      if (!verify_pdec(tpk_, j + 1, cts[r], ro.partials[r], ro.proofs[r])) continue;
-      idx.push_back(j + 1);
-      parts.push_back(ro.partials[r]);
-    }
-    if (idx.size() < tpk_.t + 1) {
-      const unsigned verified = static_cast<unsigned>(idx.size());
-      throw ProtocolAbort(FailureReport{FailureKind::Threshold, phase, holder.name,
-                                        label + ".pdec", tpk_.t + 1, verified,
-                                        present - verified, n - present});
-    }
+    round.gate(
+        GateRule::Quorum, tpk_.t + 1,
+        [&](unsigned j, const PdecMsg& msg) {
+          return verify_pdec(tpk_, j + 1, cts[r], msg.partials[r], msg.proofs[r]);
+        },
+        [&](unsigned j, const PdecMsg& msg) {
+          idx.push_back(j + 1);
+          parts.push_back(msg.partials[r]);
+        });
     plain[r] = tdec(tpk_, idx, parts);
   }
 
@@ -199,14 +174,9 @@ void DecryptChain::handover(Committee& holder, Committee& next_holder, Phase pha
   const unsigned n = holder.n();
   const unsigned bound_bits = tpk_.subshare_bound_bits();
 
-  std::vector<std::optional<HandoverMsg>> msgs(n);
-  for (unsigned j = 0; j < n; ++j) {
-    // The role already spoke its partials in run_decrypt_committee; the
-    // hand-over rides in the same single message, so no new speak().
-    if (!holder.corruption.is_active(j)) continue;
-    const bool bad = holder.corruption.is_malicious(j);
-    const auto strat = holder.corruption.strategy;
-
+  // Each role reshares its tsk share: Feldman commitments plus, per next
+  // role i, the subshare f_j(i+1) encrypted to i with a LinkProof.
+  auto build = [&](unsigned j, RoleFault fault, std::size_t& bytes) {
     ReshareMsg res = tkres(tpk_, shares_[j], *rng_);
     HandoverMsg msg;
     msg.from_index = j + 1;
@@ -216,79 +186,46 @@ void DecryptChain::handover(Committee& holder, Committee& next_holder, Phase pha
     for (unsigned i = 0; i < n; ++i) {
       const PaillierPK& rpk = next_holder.role_pk(i);
       SecretMpz sub = res.subshares[i];
-      if (bad && strat == MaliciousStrategy::BadShare) sub = sub + mpz_class(1);
+      if (fault.bad_share) sub = sub + mpz_class(1);  // the proof below cannot verify
       mpz_class renc;
       msg.enc_subshares[i] = rpk.enc_secret(sub, *rng_, &renc);
-      // Exponent leg: v^{f_j(i+1)}, publicly derivable from the commitments.
-      mpz_class v_fij = 1;
-      mpz_class pw = 1;
-      for (const auto& com : msg.commitments) {
-        v_fij = v_fij * powm_pub(com, pw, tpk_.pk.ns1) % tpk_.pk.ns1;
-        pw *= (i + 1);
-      }
-      LinkStatement st;
-      st.domain = "handover";
-      st.paillier_legs = {PaillierLeg{rpk, msg.enc_subshares[i]}};
-      st.exponent_legs = {ExponentLeg{tpk_.v, v_fij, tpk_.pk.ns1}};
-      st.bound_bits = bound_bits;
       LinkWitness w{res.subshares[i], {SecretMpz(renc)}};
-      if (bad && strat == MaliciousStrategy::BadShare) {
-        // Witness does not match the tampered ciphertext; proof will fail.
-        msg.proofs[i] = link_prove(st, w, *rng_);
-      } else {
-        msg.proofs[i] = link_prove(st, w, *rng_);
-        if (bad && strat == MaliciousStrategy::BadProof) msg.proofs[i].z += 1;
-      }
+      msg.proofs[i] = link_prove(subshare_statement(tpk_, rpk, msg, i, bound_bits), w, *rng_);
+      if (fault.bad_proof) msg.proofs[i].z += 1;
     }
-    std::vector<std::uint8_t> payload;
-    if (bulletin_->wants_payload()) payload = encode_handover_msg(msg);
-    PostStatus st = bulletin_->publish(holder, j, phase, "tsk.handover", msg.wire_bytes(),
-                                       n * 2, /*first_post_of_role=*/false,
-                                       payload.empty() ? nullptr : &payload);
-    if (st == PostStatus::Accepted) msgs[j] = std::move(msg);
-  }
-
-  unsigned present = 0;
-  for (unsigned j = 0; j < n; ++j) present += msgs[j] ? 1 : 0;
+    bytes += msg.wire_bytes();
+    return msg;
+  };
+  // The hand-over rides the role's pdec post: no second speaking act.
+  const auto round = post_round(holder, phase, "tsk.handover", *bulletin_, n * 2, build,
+                                encode_handover_msg, Speech::RidesEarlierPost);
 
   // Everyone verifies and agrees on the qualified set: the first t+1 roles
   // whose commitments tie to their verification key and whose every
   // subshare proof checks.
   std::vector<unsigned> qualified;
+  std::vector<const HandoverMsg*> qualified_posts;
   std::vector<ReshareMsg> qualified_msgs;  // commitments only (for next_epoch_pk)
-  for (unsigned j = 0; j < n && qualified.size() < tpk_.t + 1; ++j) {
-    if (!msgs[j]) continue;
-    const HandoverMsg& msg = *msgs[j];
-    if (msg.commitments.size() != tpk_.t + 1) continue;
-    if (msg.commitments[0] != tpk_.vks[j]) continue;
-    bool all_ok = true;
-    for (unsigned i = 0; i < n && all_ok; ++i) {
-      mpz_class v_fij = 1;
-      mpz_class pw = 1;
-      for (const auto& com : msg.commitments) {
-        v_fij = v_fij * powm_pub(com, pw, tpk_.pk.ns1) % tpk_.pk.ns1;
-        pw *= (i + 1);
-      }
-      LinkStatement st;
-      st.domain = "handover";
-      st.paillier_legs = {PaillierLeg{next_holder.role_pk(i), msg.enc_subshares[i]}};
-      st.exponent_legs = {ExponentLeg{tpk_.v, v_fij, tpk_.pk.ns1}};
-      st.bound_bits = bound_bits;
-      all_ok = link_verify(st, msg.proofs[i]);
-    }
-    if (!all_ok) continue;
-    qualified.push_back(j + 1);
-    ReshareMsg rm;
-    rm.from_index = j + 1;
-    rm.commitments = msg.commitments;
-    qualified_msgs.push_back(std::move(rm));
-  }
-  if (qualified.size() < tpk_.t + 1) {
-    const unsigned verified = static_cast<unsigned>(qualified.size());
-    throw ProtocolAbort(FailureReport{FailureKind::Threshold, phase, holder.name,
-                                      "tsk.handover", tpk_.t + 1, verified, present - verified,
-                                      n - present});
-  }
+  round.gate(
+      GateRule::Quorum, tpk_.t + 1,
+      [&](unsigned j, const HandoverMsg& msg) {
+        if (msg.commitments.size() != tpk_.t + 1) return false;
+        if (msg.commitments[0] != tpk_.vks[j]) return false;
+        for (unsigned i = 0; i < n; ++i) {
+          const LinkStatement st =
+              subshare_statement(tpk_, next_holder.role_pk(i), msg, i, bound_bits);
+          if (!link_verify(st, msg.proofs[i])) return false;
+        }
+        return true;
+      },
+      [&](unsigned j, const HandoverMsg& msg) {
+        qualified.push_back(j + 1);
+        qualified_posts.push_back(&msg);
+        ReshareMsg rm;
+        rm.from_index = j + 1;
+        rm.commitments = msg.commitments;
+        qualified_msgs.push_back(std::move(rm));
+      });
 
   // Each next-committee role decrypts the subshares addressed to it and
   // recombines (this happens locally on the recipient machines).
@@ -298,8 +235,8 @@ void DecryptChain::handover(Committee& holder, Committee& next_holder, Phase pha
     const PaillierSK& rsk = next_holder.role_sks[i];
     const mpz_class half = rsk.pk.ns / 2;
     std::vector<SecretMpz> subs;
-    for (unsigned q : qualified) {
-      mpz_class v = rsk.dec(msgs[q - 1]->enc_subshares[i]);
+    for (const HandoverMsg* post : qualified_posts) {
+      mpz_class v = rsk.dec(post->enc_subshares[i]);
       if (v > half) v -= rsk.pk.ns;  // lift to a signed integer
       subs.push_back(SecretMpz(std::move(v)));
     }

@@ -12,6 +12,13 @@
 
 namespace yoso::service {
 
+namespace {
+
+constexpr double kBackoffBaseS = 0.05;  // first resubmit backoff
+constexpr double kBackoffCapS = 2.0;    // cap on the doubling backoff
+
+}  // namespace
+
 MpcService::MpcService(ServiceConfig cfg)
     : cfg_(std::move(cfg)),
       params_(ProtocolParams::for_gap(cfg_.n, cfg_.eps, cfg_.paillier_bits, cfg_.failstop_mode)),
@@ -269,8 +276,8 @@ void MpcService::execute(std::uint64_t id) {
       (attempt_timed_out || silence_failure)) {
     rec.resubmits += 1;
     const double backoff =
-        std::min(res.backoff_base_s * std::ldexp(1.0, static_cast<int>(rec.resubmits) - 1),
-                 res.backoff_cap_s);
+        std::min(kBackoffBaseS * std::ldexp(1.0, static_cast<int>(rec.resubmits) - 1),
+                 kBackoffCapS);
     rec.backoff_wait_s += backoff;
     OBS_COUNT("service.session.resubmit");
     loop_.schedule_in(duration + backoff, [this, id] { execute(id); });
@@ -395,8 +402,8 @@ std::string MpcService::report_json() const {
   w.key("resilience").begin_object();
   w.field("max_resubmits", static_cast<std::uint64_t>(cfg_.resilience.max_resubmits));
   w.field("phase_timeout_s", cfg_.resilience.phase_timeout_s);
-  w.field("backoff_base_s", cfg_.resilience.backoff_base_s);
-  w.field("backoff_cap_s", cfg_.resilience.backoff_cap_s);
+  w.field("backoff_base_s", kBackoffBaseS);
+  w.field("backoff_cap_s", kBackoffCapS);
   w.end_object();
   w.end_object();
   w.key("stats").begin_object();

@@ -44,13 +44,12 @@ namespace yoso::service {
 // attempt times out on the phase watchdog or fails with a silence-decisive
 // FailureReport is automatically resubmitted on a fresh board under the
 // fail-stop parameterization (when that genuinely lowers the reconstruction
-// bar), after capped exponential backoff on the virtual clock.  The defaults
-// keep the legacy fail-fast behavior.
+// bar), after capped exponential backoff on the virtual clock: the k-th
+// resubmit waits min(0.05 s * 2^(k-1), 2 s).  The defaults keep the legacy
+// fail-fast behavior.
 struct ResilienceConfig {
-  unsigned max_resubmits = 0;    // extra attempts per session; 0 = fail fast
-  double phase_timeout_s = 0;    // per-phase silence watchdog; 0 = off
-  double backoff_base_s = 0.05;  // k-th resubmit waits min(base * 2^(k-1), cap)
-  double backoff_cap_s = 2.0;
+  unsigned max_resubmits = 0;  // extra attempts per session; 0 = fail fast
+  double phase_timeout_s = 0;  // per-phase silence watchdog; 0 = off
 };
 
 struct ServiceConfig {

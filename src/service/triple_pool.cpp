@@ -11,6 +11,14 @@
 
 namespace yoso::service {
 
+namespace {
+
+constexpr double kEwmaAlpha = 0.3;           // weight of the newest EWMA sample
+constexpr double kRestartBackoffS = 0.1;     // first lane-restart backoff
+constexpr double kRestartBackoffCapS = 5.0;  // cap on the doubling backoff
+
+}  // namespace
+
 TriplePool::TriplePool(ProtocolParams params, Circuit circuit, net::NetConfig net,
                        AdversaryPlan plan, std::uint64_t seed, PoolConfig cfg,
                        net::EventLoop* loop)
@@ -116,9 +124,9 @@ void TriplePool::lane_cycle(unsigned lane) {
       restarts_[lane] += 1;
       stats_.lane_restarts += 1;
       const double backoff =
-          std::min(cfg_.restart_backoff_s *
+          std::min(kRestartBackoffS *
                        std::ldexp(1.0, static_cast<int>(restarts_[lane]) - 1),
-                   cfg_.restart_backoff_cap_s);
+                   kRestartBackoffCapS);
       OBS_COUNT("service.pool.lane_restart");
       loop_->schedule_in(backoff, [this, lane] { lane_cycle(lane); });
     }
@@ -137,8 +145,8 @@ void TriplePool::lane_cycle(unsigned lane) {
     in_flight_ += 1;
     ewma_produce_s_ = ewma_produce_s_ <= 0
                           ? produce_s
-                          : cfg_.ewma_alpha * produce_s +
-                                (1 - cfg_.ewma_alpha) * ewma_produce_s_;
+                          : kEwmaAlpha * produce_s +
+                                (1 - kEwmaAlpha) * ewma_produce_s_;
   }
   loop_->schedule_in(produce_s, [this, lane, unit] { bank(lane, unit); });
 }
@@ -177,8 +185,8 @@ void TriplePool::note_arrival() {
     const double gap = now - last_arrival_s_;
     ewma_interarrival_s_ = ewma_interarrival_s_ <= 0
                                ? gap
-                               : cfg_.ewma_alpha * gap +
-                                     (1 - cfg_.ewma_alpha) * ewma_interarrival_s_;
+                               : kEwmaAlpha * gap +
+                                     (1 - kEwmaAlpha) * ewma_interarrival_s_;
   }
   last_arrival_s_ = now;
   // Demand may have grown the target; parked lanes re-check and re-park if

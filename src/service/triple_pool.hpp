@@ -36,16 +36,15 @@ struct PoolConfig {
   // ceil(EWMA produce time / EWMA interarrival), clamped to [1, capacity] —
   // instead of at capacity, so a slow trickle of sessions stops paying for
   // a full bank.  Until both EWMAs have samples the pool prefills to
-  // capacity.  Exported as the `service.pool.target_depth` gauge.
+  // capacity.  Both EWMAs weigh the newest sample 0.3.  Exported as the
+  // `service.pool.target_depth` gauge.
   bool adaptive = false;
-  double ewma_alpha = 0.3;  // weight of the newest sample
 
   // Lane self-healing: a failed production restarts the lane after capped
-  // exponential backoff (the next unit draws fresh seeds) instead of
-  // halting it for good.  0 keeps the legacy halt-on-failure behavior.
+  // exponential backoff — the r-th restart waits min(0.1 s * 2^(r-1), 5 s) —
+  // (the next unit draws fresh seeds) instead of halting it for good.  0
+  // keeps the legacy halt-on-failure behavior.
   unsigned max_lane_restarts = 0;  // per lane
-  double restart_backoff_s = 0.1;
-  double restart_backoff_cap_s = 5.0;
 };
 
 // One banked preprocessed instance.  The ledger/board/mpc triple moves into

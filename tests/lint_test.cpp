@@ -129,14 +129,17 @@ TEST(LintFixtures, MutableGlobalFires) {
 TEST(LintFixtures, OneShotFires) {
   auto findings = lint_tree(fixture("one_shot"), Whitelist());
   EXPECT_EQ(rules_fired(findings), std::vector<std::string>{"one-shot"});
-  ASSERT_EQ(findings.size(), 2u);
-  // (a) the duplicate (committee, label) publish …
+  ASSERT_EQ(findings.size(), 3u);
+  // (a) the duplicate (committee, label) publish, the doubled round …
   EXPECT_EQ(findings[0].file, "src/mpc/bad.cpp");
   EXPECT_EQ(findings[0].line, 7u);
   EXPECT_NE(findings[0].message.find("mult-share"), std::string::npos);
+  EXPECT_EQ(findings[1].file, "src/mpc/bad.cpp");
+  EXPECT_EQ(findings[1].line, 14u);
+  EXPECT_NE(findings[1].message.find("pdec"), std::string::npos);
   // … and (b) the Secret<…> member retained in a role-scope header.
-  EXPECT_EQ(findings[1].file, "src/mpc/bad_state.hpp");
-  EXPECT_EQ(findings[1].line, 9u);
+  EXPECT_EQ(findings[2].file, "src/mpc/bad_state.hpp");
+  EXPECT_EQ(findings[2].line, 9u);
 }
 
 TEST(LintFixtures, ObsHotLoopFires) {

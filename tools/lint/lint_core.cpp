@@ -321,20 +321,23 @@ std::vector<Finding> lint_file(const std::string& rel_path, const std::string& c
 
   // one-shot: YOSO role hygiene in the role-bearing scope.
   if (in_role_scope(rel_path) && !wl.allows("one-shot", rel_path)) {
-    // (a) Two publish() calls in one file with the same (committee
+    // (a) Two posting calls in one file with the same (committee
     // expression, label literal): syntactically, a role identity that can
-    // speak twice.  Label literals live in strings, so this scan keeps them
-    // (comments stripped only).
+    // speak twice.  A posting call is a publish() or a post_round() — the
+    // committee round skeleton of src/mpc/round.hpp, which owns the one
+    // publish() of the protocol core; both take the committee first and
+    // the label as the first string literal.  Label literals live in
+    // strings, so this scan keeps them (comments stripped only).
     std::vector<std::string> code_lines;
     split_lines(strip_comments(content), &code_lines);
-    static const std::regex publish_call(R"((\.|->)publish\s*\()");
+    static const std::regex publish_call(R"((\.|->)publish\s*\(|\bpost_round\s*\()");
     static const std::regex label_literal("\"([^\"]*)\"");
     std::map<std::string, std::size_t> seen;  // (committee|label) -> first line
     for (std::size_t ln = 0; ln < code_lines.size(); ++ln) {
       std::smatch m;
       if (!std::regex_search(code_lines[ln], m, publish_call)) continue;
-      // Argument window: rest of this line plus the next two (publish calls
-      // in this tree span at most three lines).
+      // Argument window: rest of this line plus the next two (posting calls
+      // in this tree name their label within three lines).
       std::string window = code_lines[ln].substr(m.position(0) + m.length(0));
       for (std::size_t extra = 1; extra <= 2 && ln + extra < code_lines.size(); ++extra) {
         window += ' ';
@@ -352,7 +355,7 @@ std::vector<Finding> lint_file(const std::string& rel_path, const std::string& c
       auto [it, inserted] = seen.emplace(sig, ln + 1);
       if (!inserted) {
         findings.push_back(Finding{"one-shot", rel_path, ln + 1,
-                                   "second publish with committee " + committee + " and label \"" +
+                                   "second post with committee " + committee + " and label \"" +
                                        lm[1].str() + "\" (first at line " +
                                        std::to_string(it->second) +
                                        "); a YOSO role speaks exactly once"});

@@ -1,8 +1,8 @@
 // Clang Thread Safety Analysis annotation shim.
 //
-// The deterministic multi-core engine (ROADMAP item 3) will contend on a
-// handful of shared-state classes (Ledger, the obs registries, Bulletin, the
-// service queues/pool).  Before any thread pool lands, those classes carry
+// The deterministic multi-core engine will contend on a handful of
+// shared-state classes (Ledger, the obs registries, Bulletin, the service
+// queues/pool).  Before any thread pool lands, those classes carry
 // capability annotations so `clang -Wthread-safety` can prove every access
 // to guarded state happens under the right lock — at compile time, on every
 // CI run (the `thread-safety` job builds with -Werror=thread-safety).

@@ -1,5 +1,5 @@
 // Per-task PRG stream derivation — the blessed seam for task-local
-// randomness (ROADMAP item 3).
+// randomness in the deterministic multi-core engine.
 //
 // A shared sequential PRG is the enemy of parallelism: the value a task
 // draws depends on how many draws every earlier task made, so any change in
@@ -23,7 +23,8 @@
 // The tools/lint `prg-discipline` rule flags ad-hoc construction of the
 // sequential generators (Rng / Prg / gmp_randclass) outside this seam;
 // pre-existing derivations are whitelisted (changing them would shift every
-// seeded transcript and the perf baselines) but new code must come here.
+// seeded transcript and the committed BENCH_comm.json record) but new code
+// must come here.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
 // Annotated synchronization primitives for the shared-state classes the
-// multi-core engine (ROADMAP item 3) will contend on.
+// deterministic multi-core engine will contend on.
 //
 // `Mutex` is std::mutex carrying the CAPABILITY attribute so Clang's
 // thread-safety analysis can track it; `MutexLock` is the RAII guard.  The

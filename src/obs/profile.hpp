@@ -23,7 +23,8 @@
 // spawn and the owner merges it back with InstrumentCell::merge on join.
 // merge() is an elementwise sum — commutative and associative — so any
 // join order yields a byte-identical snapshot (the merge-on-join half of
-// ROADMAP item 3; the thread pool itself is future work).
+// the deterministic multi-core engine; the thread pool itself is future
+// work).
 //
 // docs/PROFILING.md is the user guide.
 #pragma once

@@ -22,8 +22,8 @@ namespace yoso::obs {
 
 // Observability schema generation.  Bumped whenever the shape of exported
 // documents changes incompatibly (new op enum entries, new report keys):
-// tools comparing two recordings (`trace diff`, baseline checks) warn when
-// generations differ instead of reporting spurious behavioral deltas.
+// tools comparing two recordings (`trace diff`) warn when generations differ
+// instead of reporting spurious behavioral deltas.
 //   1 — compute observatory (per-primitive op counts, profile key)
 //   2 — causality observatory (run metadata, codec ops, dag/critpath)
 inline constexpr int kObsGeneration = 2;

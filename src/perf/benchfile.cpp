@@ -27,6 +27,9 @@ std::vector<std::pair<std::string, std::string>> read_bench_entries(const std::s
   return entries;
 }
 
+namespace {
+
+// Writes the entries back in the one-key-per-line layout.
 void write_bench_entries(const std::string& path,
                          const std::vector<std::pair<std::string, std::string>>& entries) {
   std::ofstream out(path, std::ios::trunc | std::ios::binary);
@@ -37,6 +40,8 @@ void write_bench_entries(const std::string& path,
   }
   out << "}\n";
 }
+
+}  // namespace
 
 void merge_bench_json(const std::string& path, const std::string& key,
                       const std::string& value) {

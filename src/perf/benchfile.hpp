@@ -20,10 +20,6 @@ namespace yoso::perf {
 // empty list; malformed JSON throws std::invalid_argument.
 std::vector<std::pair<std::string, std::string>> read_bench_entries(const std::string& path);
 
-// Writes the entries back in the one-key-per-line layout.
-void write_bench_entries(const std::string& path,
-                         const std::vector<std::pair<std::string, std::string>>& entries);
-
 // Replaces (or appends) one top-level key.  `value` must itself be valid
 // JSON — it is parsed before the file is touched.
 void merge_bench_json(const std::string& path, const std::string& key,

@@ -24,8 +24,8 @@
 // The "critpath" key (E16) comes from the audit runs: run_audit_point()
 // (perf/sweep.hpp, seeds 9300 + n) runs ours over a NetBulletin so the
 // board reconstructs the DAG, and prices it with the reference table;
-// `perf record` commits the sweep to BENCH_comm.json and `perf check`
-// baseline-gates it.  `trace critpath` analyses its own board, with
+// `perf record` commits the sweep to BENCH_comm.json, and CI gates it by
+// re-recording that file byte for byte.  `trace critpath` analyses its own board, with
 // optional fail-stop faults (silenced roles, background churn) that show
 // how faults serialize the run: dropped posts become DAG leaves, the
 // surviving roles' work concentrates on fewer parallel chains, and the
@@ -110,8 +110,8 @@ CritReport analyze(const std::vector<obs::dag::DagNode>& nodes, const CostCoeffs
                    const std::vector<unsigned>& ks = default_forecast_ks());
 
 // {"nodes","edges","work","span","parallelism","phases":{...},
-//  "forecast":{"k1":...}} — deterministic; the field names carry no
-// .bytes/_us suffix so the perf baseline gates them exactly.
+//  "forecast":{"k1":...}} — deterministic, so the byte-equality gate on the
+// committed BENCH_comm.json pins every value exactly.
 std::string crit_report_json(const CritReport& report);
 
 // Standalone Chrome-trace document: the critical path as its own track plus

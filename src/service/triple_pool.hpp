@@ -125,10 +125,10 @@ private:
   std::uint64_t fingerprint_ = 0;
 
   // Bank/lane state is shared between producer lanes and claiming sessions
-  // once lanes run on worker threads (ROADMAP item 3); lock-protected and
-  // annotated now so -Wthread-safety proves the discipline.  Production
-  // itself (preprocess) runs outside the lock — only the state mutations
-  // before and after are critical sections.
+  // once lanes run on worker threads (the deterministic multi-core engine);
+  // lock-protected and annotated now so -Wthread-safety proves the
+  // discipline.  Production itself (preprocess) runs outside the lock —
+  // only the state mutations before and after are critical sections.
   mutable Mutex mu_;
   std::deque<std::shared_ptr<PooledUnit>> bank_ GUARDED_BY(mu_);
   std::vector<std::shared_ptr<PooledUnit>> retired_ GUARDED_BY(mu_);  // failed productions

@@ -3,8 +3,8 @@
 // claims (online O(1) per gate, offline O(n) per gate) are verified against
 // these counters by the benchmark harness.
 //
-// The ledger is one of the shared-state classes the multi-core engine
-// (ROADMAP item 3) will contend on, so its buckets are lock-protected and
+// The ledger is one of the shared-state classes the deterministic
+// multi-core engine will contend on, so its buckets are lock-protected and
 // thread-safety-annotated: clang -Wthread-safety proves every access goes
 // through mu_ (see docs/STATIC_ANALYSIS.md, "Concurrency readiness").
 #pragma once

@@ -13,7 +13,6 @@
 #include "common/json.hpp"
 #include "obs/scaling.hpp"
 #include "perf/audit.hpp"
-#include "perf/baseline.hpp"
 
 namespace yoso {
 namespace {

@@ -260,7 +260,7 @@ std::vector<Finding> lint_file(const std::string& rel_path, const std::string& c
   // that is the (seed, role, activation) keying the multi-core engine
   // depends on.  Whole-file exemptions go through the whitelist with a
   // recorded reason (pre-existing derivations keep the seeded transcripts
-  // and perf baselines stable).
+  // and the committed BENCH_comm.json record stable).
   if (starts_with(rel_path, "src/") && !prg_discipline_exempt(rel_path) &&
       !wl.allows("prg-discipline", rel_path)) {
     static const std::regex prg_ctor(

@@ -4,20 +4,15 @@
 //       Run the audit sweep (ours + CDN per n) and merge the results into
 //       the bench file (default BENCH_comm.json, keys scaling_audit /
 //       profile / critpath / meta).  Deterministic: seeded protocol runs,
-//       so two records of the same sweep are byte-identical.
-//   perf check [--json FILE] --baseline FILE
-//       Compare the recorded metrics against a committed baseline; exit
-//       nonzero listing every violated tolerance (bytes +-10%, counts and
-//       parameters exact, missing metric = failure).
+//       so two records of the same sweep are byte-identical.  That makes
+//       the committed BENCH_comm.json the perf gate: CI re-records a copy
+//       in Release with the default sweep and fails on any byte difference.
 //   perf audit [--json FILE] [--report FILE]
 //       Print the E3 (online) and E4 (offline) per-gate tables of the
 //       scaling_audit sweep, fit its per-gate exponents and verdict them
 //       against the paper's claimed asymptotics; project the speedup to
 //       paper scale and gate the C=1000, f=0.05 cell; gate the critpath
 //       forecast curves.  Exit nonzero on any violated band.
-//   perf baseline [--json FILE] --out FILE
-//       Seed a baseline file from the currently recorded metrics.
-#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -29,7 +24,6 @@
 #include "common/json.hpp"
 #include "obs/report.hpp"
 #include "perf/audit.hpp"
-#include "perf/baseline.hpp"
 #include "perf/benchfile.hpp"
 #include "perf/critpath.hpp"
 #include "perf/sweep.hpp"
@@ -38,14 +32,10 @@ namespace {
 
 using namespace yoso;
 
-const std::vector<std::string> kBenchKeys = {"scaling_audit", "profile", "critpath"};
-
 int usage() {
   std::fprintf(stderr,
                "usage: perf record [--sweep N,N,...] [--json FILE]\n"
-               "       perf check [--json FILE] --baseline FILE\n"
-               "       perf audit [--json FILE] [--report FILE]\n"
-               "       perf baseline [--json FILE] --out FILE\n");
+               "       perf audit [--json FILE] [--report FILE]\n");
   return 2;
 }
 
@@ -53,11 +43,6 @@ std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("perf: cannot open " + path);
   return std::string(std::istreambuf_iterator<char>(in), {});
-}
-
-std::map<std::string, double> current_metrics(const std::string& json_path) {
-  const json::Value doc = json::parse(read_file(json_path));
-  return perf::flatten_metrics(doc, kBenchKeys);
 }
 
 int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path) {
@@ -73,31 +58,6 @@ int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path)
   perf::merge_bench_json(json_path, "critpath", perf::critpath_sweep_json(audit));
   // Self-describing header: which build / obs generation recorded the file.
   perf::merge_bench_json(json_path, "meta", obs::run_metadata_json());
-  return 0;
-}
-
-int cmd_check(const std::string& json_path, const std::string& baseline_path) {
-  const auto baseline = perf::parse_baseline(json::parse(read_file(baseline_path)));
-  const auto current = current_metrics(json_path);
-  const perf::CheckResult result = perf::check_against_baseline(baseline, current);
-  std::printf("checked %zu metrics against %s\n", result.checked, baseline_path.c_str());
-  for (const perf::Mismatch& mm : result.mismatches) {
-    if (mm.missing) {
-      std::printf("  MISSING %-60s expected %.6g\n", mm.metric.c_str(), mm.expected);
-    } else {
-      const double delta =
-          mm.expected != 0 ? (mm.actual - mm.expected) / mm.expected * 100.0 : 0.0;
-      std::printf("  FAIL    %-60s expected %.6g got %.6g (%+.1f%%, tol %s%.0f%%)\n",
-                  mm.metric.c_str(), mm.expected, mm.actual, delta,
-                  mm.tolerance > 0 ? "+-" : "exact ", mm.tolerance * 100.0);
-    }
-  }
-  if (!result.pass()) {
-    std::printf("FAIL: %zu of %zu metrics out of tolerance\n", result.mismatches.size(),
-                result.checked);
-    return 1;
-  }
-  std::printf("OK: all metrics within tolerance\n");
   return 0;
 }
 
@@ -182,34 +142,17 @@ int cmd_audit(const std::string& json_path, const std::string& report_path) {
   return report.pass ? 0 : 1;
 }
 
-int cmd_baseline(const std::string& json_path, const std::string& out_path) {
-  const auto metrics = current_metrics(json_path);
-  std::vector<std::pair<std::string, std::string>> entries;
-  for (const auto& [metric, value] : metrics) {
-    json::Writer w;
-    w.num(value);
-    entries.emplace_back(metric, w.take());
-  }
-  perf::write_bench_entries(out_path, entries);
-  std::printf("[%s written: %zu metrics]\n", out_path.c_str(), entries.size());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   std::string json_path = "BENCH_comm.json";
-  std::string baseline_path, out_path, report_path;
+  std::string report_path;
   std::vector<unsigned> sweep = {4, 6, 8, 12, 16};
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
       report_path = argv[++i];
     } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
@@ -225,15 +168,7 @@ int main(int argc, char** argv) {
   }
   try {
     if (cmd == "record") return cmd_record(sweep, json_path);
-    if (cmd == "check") {
-      if (baseline_path.empty()) return usage();
-      return cmd_check(json_path, baseline_path);
-    }
     if (cmd == "audit") return cmd_audit(json_path, report_path);
-    if (cmd == "baseline") {
-      if (out_path.empty()) return usage();
-      return cmd_baseline(json_path, out_path);
-    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perf: %s\n", e.what());
     return 1;
